@@ -7,13 +7,13 @@
 // --smoke shrinks every instance to seconds-scale for CI; --gate runs the
 // medium-size configuration the CI speedup regression gate reads (the
 // N(Gamma, L) case at threads {1, 4} plus the sparse-activity pair — see
-// tools/check_engine_speedup.py); --out defaults to BENCH_engine.json in
-// the working directory.
+// the GATES table of tools/check_bench_schema.py); --out defaults to
+// BENCH_engine.json in the working directory.
 //
 // Schema v3 cases (each tagged with the TopologyView kind and whether the
-// active-frontier loop ran):
-//   * lb_network / path / random — materialized dense-mode scaling across
-//     thread counts, as in v2;
+// event-driven wake rule, RunOptions::frontier, ran):
+//   * lb_network / path / random — materialized scaling across thread
+//     counts under the default wake rule, as in v2;
 //   * million_path — a 2^20-node PathView: the topology is never
 //     materialized, the round loop and the ModelAuditor both run purely
 //     off the formula (full + smoke modes);
@@ -21,8 +21,8 @@
 //     LbTopologyView: 1,026,033 nodes and ~3.6M edges, audited (full mode);
 //   * sparse_activity_dense / sparse_activity_frontier — the same
 //     token-bouncing workload (~1 active node per round on a 16k path)
-//     under the dense loop and under RunOptions::frontier: the pair the
-//     frontier speedup gate compares. These runs hit max_rounds by design
+//     re-waking every live node each round and under RunOptions::frontier:
+//     the pair the frontier speedup gate compares. These runs hit max_rounds by design
 //     (the token never stops), so completion is not required of them.
 //
 // Every run keeps the ModelAuditor on — the reported rounds/sec are for
@@ -119,8 +119,9 @@ class ScalingProgram : public NodeProgram {
 /// Event-driven token bounce on a path: node 0 launches a token in round 0;
 /// each later round exactly one node holds it and forwards it (reflecting
 /// at the endpoints). No node ever halts, so the run always hits
-/// max_rounds; with the frontier loop only the token holder is touched
-/// each round while the dense loop still visits all n silent nodes.
+/// max_rounds; under the event-driven wake rule only the token holder is
+/// touched each round, while the default rule still visits all n silent
+/// nodes.
 class TokenBounceProgram : public NodeProgram {
  public:
   void on_round(NodeContext& ctx, const std::vector<Incoming>& inbox) override {
@@ -403,7 +404,7 @@ int main(int argc, char** argv) {
          .rounds = big_rounds + 2,
          .factory = scaling_factory(big_rounds, big_work, 2),
          .thread_counts = smoke ? std::vector<int>{1}
-                                : std::vector<int>{1, 2}}));
+                                : std::vector<int>{1, 2, 4}}));
     if (!smoke) {
       cases.push_back(run_case(
           {.name = "million_lb",
@@ -411,12 +412,12 @@ int main(int argc, char** argv) {
            .view = std::make_shared<qdc::core::LbTopologyView>(1000, 1025),
            .rounds = big_rounds + 2,
            .factory = scaling_factory(big_rounds, big_work, 2),
-           .thread_counts = {1, 2}}));
+           .thread_counts = {1, 2, 4}}));
     }
   }
 
-  // The sparse-activity pair: identical workload, dense loop vs frontier
-  // loop. The token never halts, so both runs hit max_rounds by design.
+  // The sparse-activity pair: identical workload, default vs event-driven
+  // wake rule. The token never halts, so both runs hit max_rounds by design.
   {
     const int sparse_n = smoke ? 4096 : 16384;
     const int sparse_rounds = smoke ? 128 : 512;

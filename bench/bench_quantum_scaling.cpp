@@ -7,8 +7,9 @@
 //
 // --smoke shrinks every workload to seconds-scale for CI; --gate runs the
 // single large gate-kernel configuration the CI speedup regression gate
-// reads (threads {1, 4} — see tools/check_quantum_speedup.py); --out
-// defaults to BENCH_quantum.json in the working directory.
+// reads (threads {1, 4} — see the GATES table of
+// tools/check_bench_schema.py); --out defaults to BENCH_quantum.json in
+// the working directory.
 //
 // Two axes, mirroring bench_engine_scaling:
 //
@@ -30,7 +31,7 @@
 // property in ctest.
 //
 // Schema version 2 adds fused-kernel variants (quantum/fusion.hpp): each
-// case carries "variant" ("unfused", "fused" or "fused_dense") and
+// case carries "variant" ("unfused" or "fused") and
 // "fusion_window" (0 for unfused). The fused "gates" and "grover" variants
 // record the exact same gate sequence as their unfused twins; the bench
 // asserts their checksums are BIT-IDENTICAL to the unfused payloads and
@@ -129,22 +130,17 @@ struct Workload {
   std::int64_t ops = 0;
 };
 
-/// How a workload drives the statevector: the classic per-gate kernels,
-/// the exact fused kernel (bit-identical by contract), or the dense
-/// fused matvec kernel (~1e-12 of exact).
-enum class Variant { kUnfused, kFused, kFusedDense };
+/// How a workload drives the statevector: the classic per-gate kernels or
+/// the fused kernel (bit-identical by contract).
+enum class Variant { kUnfused, kFused };
 
 const char* variant_name(Variant v) {
-  switch (v) {
-    case Variant::kUnfused: return "unfused";
-    case Variant::kFused: return "fused";
-    default: return "fused_dense";
-  }
+  return v == Variant::kUnfused ? "unfused" : "fused";
 }
 
 /// The gate-kernel workload: `layers` sweeps of single-qubit and
 /// controlled pairs plus an oracle pass over a `qubits`-wide state. The
-/// fused variants record the exact same sequence into a FusedCircuit
+/// fused variant records the exact same sequence into a FusedCircuit
 /// (oracles act as barriers) and replay it; circuit build + seal cost is
 /// deliberately inside the timed region — it is part of what the fused
 /// path costs.
@@ -185,11 +181,7 @@ Workload run_gates(int qubits, int layers, qdc::util::ThreadPool* pool,
           [](std::size_t i) { return (i * 2654435761ULL) % 11 == 7; });
     }
     circuit.seal();
-    if (variant == Variant::kFused) {
-      circuit.run(s);
-    } else {
-      circuit.run_dense(s);
-    }
+    circuit.run(s);
   }
   w.checksum = state_checksum(s);
   return w;
@@ -448,7 +440,6 @@ int main(int argc, char** argv) {
   cases.push_back(gates_case("gates", Variant::kUnfused));
   cases.push_back(gates_case("gates_fused", Variant::kFused));
   if (!gate) {
-    cases.push_back(gates_case("gates_fused_dense", Variant::kFusedDense));
     cases.push_back(run_case("reduce", Variant::kUnfused, 0, reduce_qubits,
                              reps, thread_counts,
                              [&](qdc::util::ThreadPool* pool) {
@@ -468,10 +459,9 @@ int main(int argc, char** argv) {
                              }));
   }
 
-  // The fused contract, asserted on the live payloads: the exact fused
-  // variants must be BIT-IDENTICAL to their unfused twins (the dense
-  // variant is exempt — it reassociates), and fusing must actually pay on
-  // the memory-bound gates case at one thread.
+  // The fused contract, asserted on the live payloads: the fused variants
+  // must be BIT-IDENTICAL to their unfused twins, and fusing must actually
+  // pay on the memory-bound gates case at one thread.
   const auto find_case = [&](const std::string& name) -> const CaseResult& {
     for (const CaseResult& cr : cases) {
       if (cr.name == name) return cr;

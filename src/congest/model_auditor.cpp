@@ -46,13 +46,16 @@ void ModelAuditor::begin_round(int round, const RoundActivity& activity) {
     // The frontier invariant's receiving half: a message delivered last
     // round obliges its receiver to run this round — a node with a
     // nonempty inbox must never be skipped.
-    for (const graph::NodeId v : received_prev_) {
-      QDC_CHECK(computed_stamp_[static_cast<std::size_t>(v)] == round,
-                "[audit] frontier mode skipped a node with a nonempty "
-                "inbox: the computed set was tampered with or the "
-                "scheduler dropped a pending receiver");
+    for (const ShardTally& tally : shards_) {
+      for (const graph::NodeId v : tally.received) {
+        QDC_CHECK(computed_stamp_[static_cast<std::size_t>(v)] == round,
+                  "[audit] frontier mode skipped a node with a nonempty "
+                  "inbox: the computed set was tampered with or the "
+                  "scheduler dropped a pending receiver");
+      }
     }
   }
+  for (ShardTally& tally : shards_) tally.received.clear();
   round_open_ = true;
 }
 
@@ -93,7 +96,6 @@ void ModelAuditor::on_message(int shard, graph::NodeId from, graph::NodeId to,
 
 void ModelAuditor::end_round() {
   QDC_EXPECT(round_open_, "ModelAuditor::end_round: no open round");
-  received_prev_.clear();
   for (ShardTally& tally : shards_) {
     for (const std::size_t key : tally.touched) {
       QDC_CHECK(round_fields_[key] <= bandwidth_,
@@ -102,9 +104,6 @@ void ModelAuditor::end_round() {
       round_fields_[key] = 0;
     }
     tally.touched.clear();
-    received_prev_.insert(received_prev_.end(), tally.received.begin(),
-                          tally.received.end());
-    tally.received.clear();
     messages_ += tally.messages;
     fields_ += tally.fields;
     tally.messages = 0;
@@ -119,9 +118,11 @@ void ModelAuditor::fast_forward_silent(int total_rounds) {
              "ModelAuditor::fast_forward_silent: a round is still open");
   QDC_EXPECT(total_rounds >= rounds_,
              "ModelAuditor::fast_forward_silent: cannot rewind rounds");
-  QDC_CHECK(received_prev_.empty(),
-            "[audit] frontier mode fast-forwarded past a node with a "
-            "nonempty inbox: the silent-remainder claim is false");
+  for (const ShardTally& tally : shards_) {
+    QDC_CHECK(tally.received.empty(),
+              "[audit] frontier mode fast-forwarded past a node with a "
+              "nonempty inbox: the silent-remainder claim is false");
+  }
   rounds_ = total_rounds;
 }
 

@@ -12,10 +12,10 @@
 //   * halted nodes neither send nor receive;
 //   * message/field/round totals agree with the RunStats the run reports;
 //   * when tracing is on, the trace agrees with the audit counts;
-//   * in frontier mode, the frontier invariant: a node outside the
-//     computed set sends nothing, and every node that was delivered a
-//     message is computed in the following round (no nonempty inbox is
-//     ever skipped).
+//   * in rounds that compute only a frontier (the event-driven wake rule),
+//     the frontier invariant: a node outside the computed set sends
+//     nothing, and every node that was delivered a message is computed in
+//     the following round (no nonempty inbox is ever skipped).
 //
 // Any disagreement throws qdc::ModelError via QDC_CHECK with an "[audit]"
 // message, so a tampered or buggy run can never report success.
@@ -25,9 +25,10 @@
 // through the shard-qualified on_message overload: distinct shards own
 // disjoint receivers, hence disjoint (edge, direction) keys and disjoint
 // receiver stamps, so the shared per-key counters are written race-free,
-// and per-shard message/field/receiver tallies are merged
-// deterministically (in shard-index order) by end_round(). The
-// unqualified on_message is the serial path (shard 0).
+// and per-shard message/field tallies are merged deterministically (in
+// shard-index order) by end_round(); per-shard receiver lists are read in
+// shard-index order by the next round's frontier check. The unqualified
+// on_message is the serial path (shard 0).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +47,9 @@ struct RoundActivity {
   /// Null means none.
   const std::vector<graph::NodeId>* newly_halted = nullptr;
 
-  /// Frontier mode: exactly the nodes the engine computes this round, in
-  /// increasing id order. Null means dense mode (every live node runs).
+  /// Exactly the nodes the engine computes this round, in increasing id
+  /// order. Null means every live node computes (a wake-all round, where
+  /// the frontier invariant holds trivially).
   const std::vector<graph::NodeId>* computed = nullptr;
 };
 
@@ -92,10 +94,10 @@ class ModelAuditor {
   /// tallies in shard-index order (serial; call from one thread).
   void end_round();
 
-  /// Frontier mode's silent-remainder shortcut: the engine claims no node
-  /// will act again and jumps straight to the round budget. Legal only
-  /// when the last executed round delivered nothing — otherwise some node
-  /// holds a nonempty inbox and skipping it would break the model.
+  /// The event-driven rule's silent-remainder shortcut: the engine claims
+  /// no node will act again and jumps straight to the round budget. Legal
+  /// only when the last executed round delivered nothing — otherwise some
+  /// node holds a nonempty inbox and skipping it would break the model.
   void fast_forward_silent(int total_rounds);
 
   /// Final cross-check of the run's reported statistics against the
@@ -117,7 +119,10 @@ class ModelAuditor {
     std::int64_t messages = 0;
     std::int64_t fields = 0;
     std::vector<std::size_t> touched;      // keys written this round
-    std::vector<graph::NodeId> received;   // receivers delivered to
+    // Receivers delivered to this round. They outlive end_round: only the
+    // next begin_round that declares a computed set (or fast_forward_silent)
+    // reads them, so a wake-all round pays no serial pass over them.
+    std::vector<graph::NodeId> received;
   };
 
   const TopologyView& topology_;
@@ -132,16 +137,15 @@ class ModelAuditor {
   std::vector<ShardTally> shards_;
 
   // Halt ledger, updated incrementally from RoundActivity::newly_halted —
-  // O(halts) per round rather than the O(n) halt-vector copy the dense
-  // loop would otherwise pay at 10^6+ nodes.
+  // O(halts) per round rather than the O(n) halt-vector copy a wake-all
+  // round would otherwise pay at 10^6+ nodes.
   std::vector<char> halted_;
 
   // Frontier bookkeeping. computed_stamp_[u] == r means u was declared
-  // computed in round r; received_stamp_[to] deduplicates the per-round
-  // receiver lists that end_round merges into received_prev_.
+  // computed in round r; received_stamp_[to] deduplicates the per-shard
+  // receiver lists of a round.
   std::vector<int> computed_stamp_;
   std::vector<int> received_stamp_;
-  std::vector<graph::NodeId> received_prev_;
   bool frontier_round_ = false;
 
   bool round_open_ = false;

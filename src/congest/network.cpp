@@ -1,6 +1,8 @@
 #include "congest/network.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <numeric>
 
 #include "congest/model_auditor.hpp"
 #include "util/expect.hpp"
@@ -184,9 +186,10 @@ Network::Network(std::shared_ptr<const TopologyView> view, NetworkConfig config)
   staged_head_.assign(static_cast<std::size_t>(total_ports), -1);
   staged_tail_.assign(static_cast<std::size_t>(total_ports), -1);
   port_used_.assign(static_cast<std::size_t>(total_ports), 0);
+  all_shards_.resize(static_cast<std::size_t>(shard_count));
+  std::iota(all_shards_.begin(), all_shards_.end(), 0);
   active_.resize(static_cast<std::size_t>(shard_count));
   recv_work_.resize(static_cast<std::size_t>(shard_count));
-  recv_stamp_.assign(static_cast<std::size_t>(n_), -1);
   inbox_stamp_.assign(static_cast<std::size_t>(n_), -2);
 }
 
@@ -233,8 +236,6 @@ void Network::install(const ProgramFactory& factory) {
   std::fill(staged_head_.begin(), staged_head_.end(), -1);
   std::fill(staged_tail_.begin(), staged_tail_.end(), -1);
   std::fill(port_used_.begin(), port_used_.end(), 0);
-  std::fill(recv_stamp_.begin(), recv_stamp_.end(), -1);
-  std::fill(inbox_stamp_.begin(), inbox_stamp_.end(), -2);
   for (NodeId u = 0; u < n_; ++u) {
     auto& ctx = contexts_[static_cast<std::size_t>(u)];
     ctx.output_.reset();
@@ -258,17 +259,6 @@ void Network::ensure_pool(int threads) {
   if (!pool_ || pool_threads_ != threads) {
     pool_ = std::make_unique<util::ThreadPool>(threads);
     pool_threads_ = threads;
-  }
-}
-
-void Network::dispatch_all(const std::function<void(int)>& job) {
-  const int shard_count = static_cast<int>(shards_.size());
-  if (pool_ && shard_count > 1) {
-    pool_->run(shard_count, job);
-    return;
-  }
-  for (int s = 0; s < shard_count; ++s) {
-    job(s);
   }
 }
 
@@ -311,41 +301,42 @@ void Network::stage_fields(NodeContext& ctx, int port,
   tail = rec;
 }
 
-void Network::compute_shard(int shard) {
-  const auto [begin, end] = shards_[static_cast<std::size_t>(shard)];
+void Network::compute_frontier_shard(int shard, bool wake_all,
+                                     bool frontier) {
   ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(shard)];
+  scratch.halted.clear();
+  scratch.wake.clear();
   const auto& inbox = inboxes_[static_cast<std::size_t>(inbox_cur_)];
-  for (NodeId u = begin; u < end; ++u) {
+  const auto compute = [&](NodeId u, const std::vector<Incoming>& box) {
     auto& ctx = contexts_[static_cast<std::size_t>(u)];
-    if (ctx.halted_) continue;
-    programs_[static_cast<std::size_t>(u)]->on_round(
-        ctx, inbox[static_cast<std::size_t>(u)]);
-    ctx.wake_ = false;  // dense mode runs every live node anyway
-    if (ctx.halted_) scratch.halted.push_back(u);
-  }
-}
-
-void Network::compute_frontier_shard(int shard) {
-  ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(shard)];
-  const auto& inbox = inboxes_[static_cast<std::size_t>(inbox_cur_)];
-  for (const NodeId u : active_[static_cast<std::size_t>(shard)]) {
-    auto& ctx = contexts_[static_cast<std::size_t>(u)];
-    // A buffered inbox is fresh only if the previous round delivered into
-    // it; wake-only activations must see an empty inbox, not stale bytes.
-    const auto& box =
-        inbox_stamp_[static_cast<std::size_t>(u)] == round_ - 1
-            ? inbox[static_cast<std::size_t>(u)]
-            : empty_inbox();
     programs_[static_cast<std::size_t>(u)]->on_round(ctx, box);
     if (ctx.wake_) {
       ctx.wake_ = false;
-      if (!ctx.halted_) scratch.wake.push_back(u);
+      if (frontier && !ctx.halted_) scratch.wake.push_back(u);
     }
     if (ctx.halted_) scratch.halted.push_back(u);
+  };
+  if (wake_all) {
+    // Every inbox is fresh: the previous round, if any, was a wake-all
+    // round too, and its delivery rewrote every node's inbox.
+    const auto [begin, end] = shards_[static_cast<std::size_t>(shard)];
+    for (NodeId u = begin; u < end; ++u) {
+      if (!contexts_[static_cast<std::size_t>(u)].halted_) {
+        compute(u, inbox[static_cast<std::size_t>(u)]);
+      }
+    }
+  } else {
+    // A buffered inbox is fresh only if the previous round's delivery
+    // rewrote it; a node woken without a delivery sees an empty inbox.
+    for (const NodeId u : active_[static_cast<std::size_t>(shard)]) {
+      compute(u, inbox_stamp_[static_cast<std::size_t>(u)] == round_ - 1
+                     ? inbox[static_cast<std::size_t>(u)]
+                     : empty_inbox());
+    }
   }
 }
 
-void Network::deliver_node(NodeId v, int shard, bool record_trace,
+bool Network::deliver_node(NodeId v, int shard, bool record_trace,
                            ModelAuditor* auditor) {
   ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(shard)];
   auto& box = inboxes_[static_cast<std::size_t>(1 - inbox_cur_)]
@@ -389,22 +380,49 @@ void Network::deliver_node(NodeId v, int shard, bool record_trace,
     }
   }
   box.resize(used);
-  if (used > 0) inbox_stamp_[static_cast<std::size_t>(v)] = round_;
+  inbox_stamp_[static_cast<std::size_t>(v)] = round_;
+  return used > 0;
 }
 
-void Network::deliver_shard(int shard, bool record_trace,
-                            ModelAuditor* auditor) {
-  const auto [begin, end] = shards_[static_cast<std::size_t>(shard)];
-  for (NodeId v = begin; v < end; ++v) {
-    deliver_node(v, shard, record_trace, auditor);
-  }
-}
-
-void Network::deliver_frontier_shard(int shard, bool record_trace,
+void Network::deliver_frontier_shard(int shard, bool wake_all, bool frontier,
+                                     bool record_trace,
                                      ModelAuditor* auditor) {
-  for (const NodeId v : recv_work_[static_cast<std::size_t>(shard)]) {
-    deliver_node(v, shard, record_trace, auditor);
+  ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(shard)];
+  scratch.messages = 0;
+  scratch.fields = 0;
+  scratch.trace.clear();
+  auto& recv = recv_work_[static_cast<std::size_t>(shard)];
+  if (wake_all) {
+    // Any node may receive: walk the shard's whole node range.
+    recv.clear();
+    const auto [begin, end] = shards_[static_cast<std::size_t>(shard)];
+    for (NodeId v = begin; v < end; ++v) {
+      if (deliver_node(v, shard, record_trace, auditor) && frontier) {
+        recv.push_back(v);
+      }
+    }
+  } else {
+    // The bucketed receivers, in node order so the delivery (and trace)
+    // order matches a wake-all round's.
+    std::sort(recv.begin(), recv.end());
+    recv.erase(std::unique(recv.begin(), recv.end()), recv.end());
+    for (const NodeId v : recv) {
+      deliver_node(v, shard, record_trace, auditor);
+    }
   }
+  if (!frontier) return;
+  // Next frontier: the union of this round's receivers and wake requests
+  // (both sorted), less the halted.
+  auto& next = active_[static_cast<std::size_t>(shard)];
+  next.clear();
+  std::set_union(recv.begin(), recv.end(), scratch.wake.begin(),
+                 scratch.wake.end(), std::back_inserter(next));
+  std::erase_if(next, [this](NodeId v) {
+    return contexts_[static_cast<std::size_t>(v)].halted_ ||
+           frontier_suppressed(v);
+  });
+  recv.clear();
+  scratch.wake.clear();
 }
 
 void Network::clear_staging_shard(int shard) {
@@ -464,11 +482,7 @@ RunStats Network::run(const RunOptions& options) {
     }
   }
 
-  if (options.frontier) {
-    run_frontier_loop(options, record_trace, audit, stats);
-  } else {
-    run_dense_loop(options, record_trace, audit, stats);
-  }
+  run_rounds(options, record_trace, audit, stats);
 
   if (!stats.completed) {
     stats.rounds = options.max_rounds;
@@ -485,164 +499,102 @@ RunStats Network::run(const RunOptions& options) {
   return stats;
 }
 
-void Network::run_dense_loop(const RunOptions& options, bool record_trace,
-                             ModelAuditor* audit, RunStats& stats) {
+void Network::run_rounds(const RunOptions& options, bool record_trace,
+                         ModelAuditor* audit, RunStats& stats) {
+  const bool frontier = options.frontier;
+  // Round 0 computes every live node under both wake rules: they are
+  // indistinguishable until the first round's activity is known. After
+  // it, the default rule keeps re-waking every live node, and the
+  // event-driven rule computes only the frontier each round built.
+  bool wake_all = true;
   for (round_ = 0; round_ < options.max_rounds; ++round_) {
-    if (audit != nullptr) {
-      audit->begin_round(round_, RoundActivity{&newly_halted_, nullptr});
-    }
-    for (ShardScratch& scratch : shard_scratch_) {
-      scratch.messages = 0;
-      scratch.fields = 0;
-      scratch.trace.clear();
-      scratch.halted.clear();
-      scratch.wake.clear();
-    }
-    // Compute phase: every live node processes its inbox and stages sends
-    // into its shard's arena (shard-local writes only).
-    dispatch_all([this](int s) { compute_shard(s); });
-    // Delivery phase: sharded by receiver; each shard reads any sender's
-    // (now immutable) staging and writes only its own receivers' inboxes,
-    // tallies and trace slice. The auditor recounts every message.
-    dispatch_all([this, record_trace, audit](int s) {
-      deliver_shard(s, record_trace, audit);
-    });
-    // Reset phase: sharded by sender, clearing the staging arenas read by
-    // the delivery phase (cannot be fused with it — receivers of several
-    // shards read the same sender).
-    dispatch_all([this](int s) { clear_staging_shard(s); });
-    // Serial epilogue: merge shard results in shard-index order, which is
-    // node order — independent of how threads picked up the shards.
-    newly_halted_.clear();
-    std::vector<TracedMessage> round_trace;
-    for (ShardScratch& scratch : shard_scratch_) {
-      stats.messages += scratch.messages;
-      stats.fields += scratch.fields;
-      newly_halted_.insert(newly_halted_.end(), scratch.halted.begin(),
-                           scratch.halted.end());
-      if (record_trace) {
-        round_trace.insert(round_trace.end(), scratch.trace.begin(),
-                           scratch.trace.end());
-      }
-    }
-    live_count_ -= static_cast<std::int64_t>(newly_halted_.size());
-    if (record_trace) {
-      trace_.push_back(std::move(round_trace));
-    }
-    if (audit != nullptr) audit->end_round();
-    inbox_cur_ = 1 - inbox_cur_;
-    if (live_count_ == 0) {
-      stats.rounds = round_ + 1;
-      stats.completed = true;
-      break;
-    }
-  }
-}
-
-void Network::run_frontier_loop(const RunOptions& options, bool record_trace,
-                                ModelAuditor* audit, RunStats& stats) {
-  const int shard_count = static_cast<int>(shards_.size());
-  // Reset frontier state (a previous dense run may have left stale
-  // entries) and seed round 0 with every live node: dense and frontier
-  // runs are indistinguishable until the first round's activity is known.
-  std::fill(recv_stamp_.begin(), recv_stamp_.end(), -1);
-  std::fill(inbox_stamp_.begin(), inbox_stamp_.end(), -2);
-  for (int s = 0; s < shard_count; ++s) {
-    active_[static_cast<std::size_t>(s)].clear();
-    recv_work_[static_cast<std::size_t>(s)].clear();
-    ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(s)];
-    scratch.halted.clear();
-    scratch.wake.clear();
-  }
-  for (NodeId u = 0; u < n_; ++u) {
-    if (!contexts_[static_cast<std::size_t>(u)].halted_ &&
-        !frontier_suppressed(u)) {
-      active_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(u)])]
-          .push_back(u);
-    }
-  }
-  for (round_ = 0; round_ < options.max_rounds; ++round_) {
-    active_shards_.clear();
-    computed_flat_.clear();
-    for (int s = 0; s < shard_count; ++s) {
-      const auto& list = active_[static_cast<std::size_t>(s)];
-      if (list.empty()) continue;
-      active_shards_.push_back(s);
-      computed_flat_.insert(computed_flat_.end(), list.begin(), list.end());
-    }
-    if (computed_flat_.empty()) {
-      if (live_count_ == 0) {
-        // Everyone halted before this round: one empty round completes
-        // the run, exactly as the dense loop reports it.
+    // The shards that compute: all of them in a wake-all round, which
+    // keeps its serial work O(shards); else those with a nonempty frontier.
+    const std::vector<int>* computing = &all_shards_;
+    if (!wake_all) {
+      active_shards_.clear();
+      computed_flat_.clear();
+      for (int s = 0; s < static_cast<int>(shards_.size()); ++s) {
+        const auto& list = active_[static_cast<std::size_t>(s)];
+        if (list.empty()) continue;
+        active_shards_.push_back(s);
         if (audit != nullptr) {
-          audit->begin_round(round_,
-                             RoundActivity{&newly_halted_, &computed_flat_});
-          audit->end_round();
+          computed_flat_.insert(computed_flat_.end(), list.begin(),
+                                list.end());
         }
-        if (record_trace) trace_.emplace_back();
-        stats.rounds = round_ + 1;
-        stats.completed = true;
-      } else {
+      }
+      if (active_shards_.empty()) {
         // Silent remainder: nothing is staged and no inbox is pending, so
         // no node can ever act again. Fast-forward to the round budget —
-        // the rounds the dense loop would idle through. The auditor
+        // the rounds the default rule would idle through. The auditor
         // independently verifies the no-pending-inbox claim.
         if (record_trace) {
-          while (trace_.size() <
-                 static_cast<std::size_t>(options.max_rounds)) {
-            trace_.emplace_back();
-          }
+          trace_.resize(static_cast<std::size_t>(options.max_rounds));
         }
         if (audit != nullptr) {
           audit->fast_forward_silent(options.max_rounds);
         }
+        return;
       }
-      return;
+      computing = &active_shards_;
     }
     if (audit != nullptr) {
-      audit->begin_round(round_,
-                         RoundActivity{&newly_halted_, &computed_flat_});
+      audit->begin_round(
+          round_, RoundActivity{&newly_halted_,
+                                wake_all ? nullptr : &computed_flat_});
     }
-    // Compute phase over active shards only.
-    dispatch_list(active_shards_, [this](int s) { compute_frontier_shard(s); });
-    // Serial worklist build: O(staged records). Receivers are deduplicated
-    // with a round stamp and bucketed per shard; sorting restores node
-    // order so the delivery (and trace) order matches the dense loop.
-    touched_shards_.clear();
-    for (const int s : active_shards_) {
-      for (const StagedRec& rec :
-           arenas_[static_cast<std::size_t>(s)].records) {
-        const NodeId v = port_peer_[static_cast<std::size_t>(rec.port)];
-        int& stamp = recv_stamp_[static_cast<std::size_t>(v)];
-        if (stamp == round_) continue;
-        stamp = round_;
-        const int t = shard_of_[static_cast<std::size_t>(v)];
-        if (recv_work_[static_cast<std::size_t>(t)].empty()) {
-          touched_shards_.push_back(t);
-        }
-        recv_work_[static_cast<std::size_t>(t)].push_back(v);
-      }
-    }
-    std::sort(touched_shards_.begin(), touched_shards_.end());
-    for (const int t : touched_shards_) {
-      std::sort(recv_work_[static_cast<std::size_t>(t)].begin(),
-                recv_work_[static_cast<std::size_t>(t)].end());
-      ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(t)];
-      scratch.messages = 0;
-      scratch.fields = 0;
-      scratch.trace.clear();
-    }
-    // Delivery over the touched receiver shards, then staging reset over
-    // the active sender shards.
-    dispatch_list(touched_shards_, [this, record_trace, audit](int s) {
-      deliver_frontier_shard(s, record_trace, audit);
+    // Compute phase: scheduled nodes process their inboxes and stage sends
+    // into their shard's arena (shard-local writes only).
+    dispatch_list(*computing, [this, wake_all, frontier](int s) {
+      compute_frontier_shard(s, wake_all, frontier);
     });
-    dispatch_list(active_shards_, [this](int s) { clear_staging_shard(s); });
-    // Serial epilogue, all merges in shard-index order.
+    // The shards that deliver: all of them in a wake-all round; else the
+    // receivers of the staged records, bucketed per shard by a serial
+    // O(staged records) pass, plus the computing shards, which must
+    // rebuild their frontier even when nothing reached them.
+    const std::vector<int>* delivering = &all_shards_;
+    if (!wake_all) {
+      deliver_shards_ = active_shards_;
+      for (const int s : active_shards_) {
+        for (const StagedRec& rec :
+             arenas_[static_cast<std::size_t>(s)].records) {
+          const NodeId v = port_peer_[static_cast<std::size_t>(rec.port)];
+          const int t = shard_of_[static_cast<std::size_t>(v)];
+          auto& bucket = recv_work_[static_cast<std::size_t>(t)];
+          if (bucket.empty()) deliver_shards_.push_back(t);
+          bucket.push_back(v);
+        }
+      }
+      std::sort(deliver_shards_.begin(), deliver_shards_.end());
+      deliver_shards_.erase(
+          std::unique(deliver_shards_.begin(), deliver_shards_.end()),
+          deliver_shards_.end());
+      delivering = &deliver_shards_;
+    }
+    // Delivery phase: sharded by receiver; each shard reads any sender's
+    // (now immutable) staging and writes only its own receivers' inboxes,
+    // tallies, trace slice and next frontier. The auditor recounts every
+    // message.
+    dispatch_list(*delivering,
+                  [this, wake_all, frontier, record_trace, audit](int s) {
+                    deliver_frontier_shard(s, wake_all, frontier,
+                                           record_trace, audit);
+                  });
+    // Reset phase: sharded by sender, clearing the staging arenas read by
+    // the delivery phase (cannot be fused with it — receivers of several
+    // shards read the same sender).
+    dispatch_list(*computing, [this](int s) { clear_staging_shard(s); });
+    // Serial epilogue: merge shard results in shard-index order, which is
+    // node order — independent of how threads picked up the shards.
+    newly_halted_.clear();
+    for (const int s : *computing) {
+      const auto& halted = shard_scratch_[static_cast<std::size_t>(s)].halted;
+      newly_halted_.insert(newly_halted_.end(), halted.begin(), halted.end());
+    }
+    live_count_ -= static_cast<std::int64_t>(newly_halted_.size());
     std::vector<TracedMessage> round_trace;
-    for (const int t : touched_shards_) {
-      const ShardScratch& scratch =
-          shard_scratch_[static_cast<std::size_t>(t)];
+    for (const int s : *delivering) {
+      const ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(s)];
       stats.messages += scratch.messages;
       stats.fields += scratch.fields;
       if (record_trace) {
@@ -653,65 +605,6 @@ void Network::run_frontier_loop(const RunOptions& options, bool record_trace,
     if (record_trace) {
       trace_.push_back(std::move(round_trace));
     }
-    newly_halted_.clear();
-    for (const int s : active_shards_) {
-      ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(s)];
-      newly_halted_.insert(newly_halted_.end(), scratch.halted.begin(),
-                           scratch.halted.end());
-      scratch.halted.clear();
-    }
-    live_count_ -= static_cast<std::int64_t>(newly_halted_.size());
-    // Next frontier: per shard, the union of this round's live delivered
-    // receivers and this round's wake requests, both already sorted.
-    for (const int s : active_shards_) {
-      // Shards active this round whose receivers list is empty still need
-      // their wake lists folded in below; clear their old frontier first.
-      active_[static_cast<std::size_t>(s)].clear();
-    }
-    std::size_t ti = 0;
-    std::size_t ai = 0;
-    while (ti < touched_shards_.size() || ai < active_shards_.size()) {
-      int s = 0;
-      if (ti == touched_shards_.size()) {
-        s = active_shards_[ai++];
-      } else if (ai == active_shards_.size()) {
-        s = touched_shards_[ti++];
-      } else if (touched_shards_[ti] < active_shards_[ai]) {
-        s = touched_shards_[ti++];
-      } else if (active_shards_[ai] < touched_shards_[ti]) {
-        s = active_shards_[ai++];
-      } else {
-        s = touched_shards_[ti++];
-        ++ai;
-      }
-      ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(s)];
-      auto& recv = recv_work_[static_cast<std::size_t>(s)];
-      next_active_tmp_.clear();
-      std::size_t ri = 0;
-      std::size_t wi = 0;
-      while (ri < recv.size() || wi < scratch.wake.size()) {
-        NodeId v = 0;
-        if (ri == recv.size()) {
-          v = scratch.wake[wi++];
-        } else if (wi == scratch.wake.size()) {
-          v = recv[ri++];
-        } else if (recv[ri] < scratch.wake[wi]) {
-          v = recv[ri++];
-        } else if (scratch.wake[wi] < recv[ri]) {
-          v = scratch.wake[wi++];
-        } else {
-          v = recv[ri++];
-          ++wi;
-        }
-        if (contexts_[static_cast<std::size_t>(v)].halted_) continue;
-        if (frontier_suppressed(v)) continue;
-        next_active_tmp_.push_back(v);
-      }
-      active_[static_cast<std::size_t>(s)].assign(next_active_tmp_.begin(),
-                                                  next_active_tmp_.end());
-      recv.clear();
-      scratch.wake.clear();
-    }
     if (audit != nullptr) audit->end_round();
     inbox_cur_ = 1 - inbox_cur_;
     if (live_count_ == 0) {
@@ -719,6 +612,7 @@ void Network::run_frontier_loop(const RunOptions& options, bool record_trace,
       stats.completed = true;
       return;
     }
+    wake_all = !frontier;
   }
 }
 

@@ -36,17 +36,27 @@
 // (i.e. by (edge, direction)), then by the sender's staging order on that
 // edge.
 //
-// Frontier mode (RunOptions::frontier): an event-driven variant of the
-// round loop that runs only the *active* nodes — those delivered a
-// message last round or that called request_wake() — and skips everyone
-// else, so a round costs O(activity) instead of O(n + m). The scheduling
-// contract: a program must act only on message arrival or an explicit
-// wake it requested; a silent, unwoken node's on_round must be a no-op.
-// For programs honoring that contract, frontier runs are bit-identical —
-// outputs, RunStats, traces — to dense runs at every thread count. The
-// ModelAuditor independently enforces the checkable half of the contract
-// every round: no node outside the computed frontier sends, and no node
-// with a nonempty inbox is ever skipped.
+// One round loop, two wake rules (RunOptions::frontier). Each round
+// computes a frontier of live nodes; round 0's frontier is every live node,
+// and the wake rule picks each later one:
+//
+//   * default: every live node is re-woken, so a live node's on_round runs
+//     every round whether or not anything arrived — the synchronous model
+//     the dist/ and core/ programs are written against;
+//   * event-driven (RunOptions::frontier): only the nodes delivered a
+//     message last round or that called request_wake(), so a round costs
+//     O(activity) instead of O(n + m), and a run whose frontier empties
+//     fast-forwards to its round budget.
+//
+// The event-driven rule's scheduling contract: a program must act only on
+// message arrival or an explicit wake it requested; a silent, unwoken
+// node's on_round must be a no-op. For programs honoring that contract,
+// the two rules give bit-identical outputs, RunStats and traces at every
+// thread count. The ModelAuditor independently enforces the checkable half
+// of the contract in every round that computes less than every live node:
+// no node outside the computed frontier sends, and no node with a nonempty
+// inbox is ever skipped. Whatever the rule, every message staged when a
+// round starts is delivered and audited in that round.
 //
 // NodePrograms are per-node instances and must not share mutable state
 // with each other if the network is run with threads > 1.
@@ -123,9 +133,9 @@ class NodeContext {
   void halt() { halted_ = true; }
   bool halted() const { return halted_; }
 
-  /// Frontier mode: schedule this node next round even if no message
-  /// arrives (the only way a silent node may act again). A no-op in dense
-  /// mode, where every live node runs every round anyway.
+  /// Event-driven wake rule: schedule this node next round even if no
+  /// message arrives (the only way a silent node may act again). A no-op
+  /// under the default rule, which re-wakes every live node every round.
   void request_wake() { wake_ = true; }
 
   /// Shared random bit / 64-bit hash addressed by a key. Every node gets
@@ -155,9 +165,10 @@ class NodeContext {
   bool wake_ = false;
 };
 
-/// A distributed algorithm, instantiated once per node. `on_round` runs
-/// every round until the node halts; the inbox holds messages sent to this
-/// node in the previous round.
+/// A distributed algorithm, instantiated once per node. `on_round` runs in
+/// every round whose frontier holds the node — under the default wake rule,
+/// every round until it halts; the inbox holds messages sent to this node
+/// in the previous round.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
@@ -189,10 +200,11 @@ struct RunOptions {
   /// evidence for any bound.
   bool audit = true;
 
-  /// Event-driven round loop: run only nodes that were delivered a
-  /// message or requested a wake, skip the rest, and fast-forward silent
-  /// remainders. Requires event-driven programs (see the header comment);
-  /// combining it with record_trace demands audit stay on.
+  /// The wake rule after round 0. false: re-wake every live node each
+  /// round. true (event-driven): wake only last round's receivers and
+  /// request_wake() callers, skip the rest, and fast-forward silent
+  /// remainders. true requires event-driven programs (see the header
+  /// comment), and combining it with record_trace demands audit stay on.
   bool frontier = false;
 };
 
@@ -300,25 +312,25 @@ class Network {
   /// (Re)creates the thread pool to match the requested thread count.
   void ensure_pool(int threads);
 
-  /// Runs `job` over all shards / an explicit shard-id list, on the pool
-  /// when one is active, inline (in list order) otherwise.
-  void dispatch_all(const std::function<void(int)>& job);
+  /// Runs `job` over an explicit shard-id list, on the pool when one is
+  /// active, inline (in list order) otherwise.
   void dispatch_list(const std::vector<int>& shard_ids,
                      const std::function<void(int)>& job);
 
-  void compute_shard(int shard);
-  void compute_frontier_shard(int shard);
-  void deliver_node(NodeId v, int shard, bool record_trace,
+  /// One round's per-shard phases. `wake_all` walks the shard's whole node
+  /// range (every live node computes, any node may receive) instead of
+  /// its frontier / bucketed receivers; `frontier` (the event-driven wake
+  /// rule) collects wake requests and builds the shard's next frontier.
+  void compute_frontier_shard(int shard, bool wake_all, bool frontier);
+  /// Delivers v's staged messages; true if v's inbox got any.
+  bool deliver_node(NodeId v, int shard, bool record_trace,
                     ModelAuditor* auditor);
-  void deliver_shard(int shard, bool record_trace, ModelAuditor* auditor);
-  void deliver_frontier_shard(int shard, bool record_trace,
-                              ModelAuditor* auditor);
+  void deliver_frontier_shard(int shard, bool wake_all, bool frontier,
+                              bool record_trace, ModelAuditor* auditor);
   void clear_staging_shard(int shard);
 
-  void run_dense_loop(const RunOptions& options, bool record_trace,
-                      ModelAuditor* audit, RunStats& stats);
-  void run_frontier_loop(const RunOptions& options, bool record_trace,
-                         ModelAuditor* audit, RunStats& stats);
+  void run_rounds(const RunOptions& options, bool record_trace,
+                  ModelAuditor* audit, RunStats& stats);
 
   bool frontier_suppressed(NodeId u) const;
 
@@ -360,17 +372,19 @@ class Network {
   std::vector<std::int32_t> staged_tail_;
   std::vector<int> port_used_;
 
-  // Frontier mode state. active_ holds the sorted per-shard frontier;
-  // recv_work_ the sorted per-shard receivers of the current round;
-  // stamps deduplicate (recv) and invalidate stale inboxes.
+  // Round scheduling. all_shards_ lists every shard (a wake-all round's
+  // work list). Under the event-driven rule active_ holds the sorted
+  // per-shard frontier and recv_work_ the per-shard receivers of the
+  // current round. inbox_stamp_[v] is the last round whose delivery phase
+  // rewrote v's inbox; round 0 rewrites every inbox, so no stamp from an
+  // earlier run survives into a round that reads one.
+  std::vector<int> all_shards_;
   std::vector<std::vector<NodeId>> active_;
   std::vector<std::vector<NodeId>> recv_work_;
   std::vector<int> active_shards_;
-  std::vector<int> touched_shards_;
-  std::vector<int> recv_stamp_;
+  std::vector<int> deliver_shards_;
   std::vector<int> inbox_stamp_;
   std::vector<NodeId> computed_flat_;
-  std::vector<NodeId> next_active_tmp_;
   std::vector<NodeId> newly_halted_;
   std::int64_t live_count_ = 0;
   std::vector<NodeId> frontier_suppress_for_test_;

@@ -26,8 +26,9 @@ class NetworkTestAccess {
   static void set_stats_tamper(Network& net,
                                std::function<void(RunStats&)> tamper);
 
-  /// Excludes `u` from every frontier the engine builds, simulating a
-  /// scheduler that drops a pending receiver. The next frontier-mode run's
+  /// Excludes `u` from every frontier the event-driven wake rule builds
+  /// (round 0 still computes every live node), simulating a scheduler
+  /// that drops a pending receiver. The next RunOptions::frontier run's
   /// ModelAuditor must reject the round after a message reaches u.
   static void suppress_frontier_node(Network& net, NodeId u);
 };

@@ -10,8 +10,6 @@
 
 namespace qdc::quantum {
 
-using detail::insert_zero_bit;
-
 // ---------------------------------------------------------------------------
 // FusedGate
 
@@ -38,10 +36,6 @@ FusedGate::FusedGate(std::vector<int> qubits) : qubits_(std::move(qubits)) {
     }
     offsets_[m] = offset;
   }
-  matrix_.assign(d * d, Amplitude{0.0, 0.0});
-  for (std::size_t r = 0; r < d; ++r) {
-    matrix_[r * d + r] = Amplitude{1.0, 0.0};
-  }
 }
 
 int FusedGate::local_index(int qubit) const {
@@ -53,22 +47,7 @@ int FusedGate::local_index(int qubit) const {
 }
 
 void FusedGate::push_gate(const Gate1& g, int qubit) {
-  const int p = local_index(qubit);
-  ops_.push_back(WindowOp{g, p, -1});
-  // Left-multiply the window matrix by the gate's embedding: for every
-  // column, update the row pairs split by local bit p.
-  const std::size_t d = dim();
-  const std::size_t bit = std::size_t{1} << p;
-  for (std::size_t j = 0; j < d >> 1; ++j) {
-    const std::size_t r0 = insert_zero_bit(j, p);
-    const std::size_t r1 = r0 | bit;
-    for (std::size_t c = 0; c < d; ++c) {
-      const Amplitude a0 = matrix_[r0 * d + c];
-      const Amplitude a1 = matrix_[r1 * d + c];
-      matrix_[r0 * d + c] = g.u00 * a0 + g.u01 * a1;
-      matrix_[r1 * d + c] = g.u10 * a0 + g.u11 * a1;
-    }
-  }
+  ops_.push_back(WindowOp{g, local_index(qubit), -1});
 }
 
 void FusedGate::push_controlled(const Gate1& g, int control, int target) {
@@ -76,23 +55,7 @@ void FusedGate::push_controlled(const Gate1& g, int control, int target) {
              "FusedGate: control and target must differ (qubit = " +
                  std::to_string(control) + ")");
   const int pc = local_index(control);
-  const int pt = local_index(target);
-  ops_.push_back(WindowOp{g, pt, pc});
-  const std::size_t d = dim();
-  const std::size_t cbit = std::size_t{1} << pc;
-  const std::size_t tbit = std::size_t{1} << pt;
-  const int lo = pc < pt ? pc : pt;
-  const int hi = pc < pt ? pt : pc;
-  for (std::size_t j = 0; j < d >> 2; ++j) {
-    const std::size_t r0 = insert_zero_bit(insert_zero_bit(j, lo), hi) | cbit;
-    const std::size_t r1 = r0 | tbit;
-    for (std::size_t c = 0; c < d; ++c) {
-      const Amplitude a0 = matrix_[r0 * d + c];
-      const Amplitude a1 = matrix_[r1 * d + c];
-      matrix_[r0 * d + c] = g.u00 * a0 + g.u01 * a1;
-      matrix_[r1 * d + c] = g.u10 * a0 + g.u11 * a1;
-    }
-  }
+  ops_.push_back(WindowOp{g, local_index(target), pc});
 }
 
 // ---------------------------------------------------------------------------
@@ -273,36 +236,8 @@ void FusedCircuit::run(StateVector& state) const {
   }
 }
 
-void FusedCircuit::run_dense(StateVector& state) const {
-  QDC_EXPECT(sealed_, "FusedCircuit::run_dense: seal() the circuit first");
-  QDC_EXPECT(
-      state.qubit_count() == qubit_count_,
-      "FusedCircuit::run_dense: state qubit count mismatch (circuit = " +
-          std::to_string(qubit_count_) + ", state = " +
-          std::to_string(state.qubit_count()) + ")");
-  for (const Step& step : ops_) {
-    if (step.window < 0) {
-      state.oracle_phase(step.oracle);
-      continue;
-    }
-    const FusedGate& gate = fused_[static_cast<std::size_t>(step.window)];
-    if (gate.gate_count() == 1) {
-      const WindowOp& op = gate.ops().front();
-      if (op.local1 < 0) {
-        state.apply(op.g, gate.qubits()[static_cast<std::size_t>(op.local0)]);
-      } else {
-        state.apply_controlled(
-            op.g, gate.qubits()[static_cast<std::size_t>(op.local1)],
-            gate.qubits()[static_cast<std::size_t>(op.local0)]);
-      }
-    } else {
-      state.apply_fused_dense(gate);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// StateVector fused kernels (declared in state.hpp, defined here so
+// StateVector fused kernel (declared in state.hpp, defined here so
 // state.cpp stays free of fusion machinery)
 
 void StateVector::apply_fused(const FusedGate& fused) {
@@ -410,44 +345,6 @@ void StateVector::apply_fused(const FusedGate& fused) {
             for (std::size_t m = 0; m < block; ++m) {
               amps[base + offsets[m]] = panel[m];
             }
-          }
-        }
-      });
-}
-
-void StateVector::apply_fused_dense(const FusedGate& fused) {
-  QDC_EXPECT(fused.qubits().back() < qubit_count_,
-             "StateVector::apply_fused_dense: window qubit out of range "
-             "(highest = " +
-                 std::to_string(fused.qubits().back()) + ", qubit_count = " +
-                 std::to_string(qubit_count_) + ")");
-  const int w = fused.window();
-  const std::size_t block = fused.dim();
-  const std::size_t* offsets = fused.offsets().data();
-  const Amplitude* matrix = fused.matrix().data();
-  Amplitude* amps = amplitudes_.data();
-  util::run_sharded(
-      pool_, util::ShardPlan::over_aligned(amplitudes_.size(), block),
-      [&](int, std::size_t begin, std::size_t end) {
-        alignas(64) Amplitude panel[std::size_t{1} << kMaxFusionWindow];
-        alignas(64) Amplitude out[std::size_t{1} << kMaxFusionWindow];
-        for (std::size_t group = begin >> w; group < end >> w; ++group) {
-          const std::size_t base = fused.group_base(group);
-          for (std::size_t m = 0; m < block; ++m) {
-            panel[m] = amps[base + offsets[m]];
-          }
-          // One dense matvec per panel: contiguous rows, contiguous
-          // panel, no branching — the explicitly vectorizable form.
-          for (std::size_t r = 0; r < block; ++r) {
-            const Amplitude* row = matrix + r * block;
-            Amplitude acc{0.0, 0.0};
-            for (std::size_t c = 0; c < block; ++c) {
-              acc += row[c] * panel[c];
-            }
-            out[r] = acc;
-          }
-          for (std::size_t m = 0; m < block; ++m) {
-            amps[base + offsets[m]] = out[m];
           }
         }
       });

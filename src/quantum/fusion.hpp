@@ -1,5 +1,5 @@
 // Gate fusion: coalesce runs of single- and two-qubit gates that touch a
-// small window of qubits into one dense unitary, applied in a single
+// small window of qubits into one window, applied in a single
 // cache-blocked pass over the statevector.
 //
 // Why: every StateVector::apply is a memory-bound sweep over all 2^n
@@ -8,23 +8,16 @@
 // out-of-cache states the paper's Grover / simulation workloads need
 // (2^21+ amplitudes), that traffic reduction is the whole speedup.
 //
-// Two kernels share the cache-blocked pass (gather a 2^w-amplitude group
-// into a contiguous panel, transform, scatter back):
+// The kernel (FusedCircuit::run, StateVector::apply_fused) gathers each
+// 2^w-amplitude group into a contiguous panel, replays the window's
+// recorded gates inside the panel with the same pair-update expressions
+// as the classic kernels, and scatters back. Gather and scatter are pure
+// copies and every pair update sees exactly the operands the unfused
+// kernel would, so the result is BIT-IDENTICAL to gate-by-gate
+// application — the fused path's documented contract, pinned by the
+// QuantumFusion tests and asserted in-bench by bench_quantum_scaling.
 //
-//  * exact (FusedCircuit::run, StateVector::apply_fused): replays the
-//    window's recorded gates inside the panel with the same pair-update
-//    expressions as the classic kernels. Gather and scatter are pure
-//    copies and every pair update sees exactly the operands the unfused
-//    kernel would, so the result is BIT-IDENTICAL to gate-by-gate
-//    application — the fused path's documented contract, pinned by the
-//    QuantumFusion tests and asserted in-bench by bench_quantum_scaling.
-//  * dense (run_dense, apply_fused_dense): multiplies each panel by the
-//    window's dense 2^w x 2^w matrix. One matvec regardless of gate
-//    count, but the changed floating-point association means it matches
-//    the exact kernel only to ~1e-12. Use when windows pack more gates
-//    than their dimension.
-//
-// Both kernels shard groups with ShardPlan::over_aligned, so the
+// The kernel shards groups with ShardPlan::over_aligned, so the
 // determinism contract of state.hpp carries over unchanged: groups are
 // disjoint, no cross-group reductions exist, and results are
 // bit-identical for a null pool and pools of 1, 2 or N threads.
@@ -45,8 +38,8 @@ namespace qdc::quantum {
 /// Default fusion window when a caller opts in without a preference:
 /// 2^5 = 32-amplitude panels. Wide enough to absorb the H / rotation /
 /// CNOT-chain runs the repo's circuits are made of (a Hadamard layer over
-/// n qubits packs into ceil(n/5) passes), small enough that a panel plus
-/// its dense matrix stay comfortably L1-resident; measured fastest of the
+/// n qubits packs into ceil(n/5) passes), small enough that a panel stays
+/// comfortably L1-resident; measured fastest of the
 /// legal windows on the gates workload of bench_quantum_scaling.
 inline constexpr int kDefaultFusionWindow = 5;
 
@@ -60,14 +53,13 @@ struct WindowOp {
 };
 
 /// A fused window: an ordered list of gates on a fixed set of at most
-/// kMaxFusionWindow qubits, together with the precomputed machinery both
-/// kernels need — gather offsets, local-index ops, and the dense window
-/// unitary (maintained incrementally as gates are pushed). Built by
+/// kMaxFusionWindow qubits, together with the precomputed machinery the
+/// kernel needs — gather offsets and local-index ops. Built by
 /// FusedCircuit::seal(); usable directly in tests.
 class FusedGate {
  public:
   /// Window over `qubits` (distinct, each in [0, kMaxQubits)). Qubits are
-  /// sorted internally; the window starts as the identity.
+  /// sorted internally; the window starts with no gates.
   explicit FusedGate(std::vector<int> qubits);
 
   /// Appends a single-qubit gate on `qubit` (must be a window qubit).
@@ -84,10 +76,6 @@ class FusedGate {
   std::size_t dim() const { return std::size_t{1} << qubits_.size(); }
   int gate_count() const { return static_cast<int>(ops_.size()); }
   const std::vector<WindowOp>& ops() const { return ops_; }
-
-  /// Dense row-major dim() x dim() unitary equal to the pushed sequence
-  /// (in push order), over the local bit convention above.
-  const std::vector<Amplitude>& matrix() const { return matrix_; }
 
   /// Gather table: offsets()[m] = sum over set bits j of m of
   /// 1 << qubits()[j]. Group amplitude m lives at group_base(g) +
@@ -108,7 +96,6 @@ class FusedGate {
 
   std::vector<int> qubits_;
   std::vector<WindowOp> ops_;
-  std::vector<Amplitude> matrix_;
   std::vector<std::size_t> offsets_;
 };
 
@@ -127,9 +114,8 @@ class FusedGate {
 /// open when oracle() is called never absorbs gates recorded after it.
 ///
 /// Usage: record with gate()/controlled()/cnot()/cz()/swap()/oracle(),
-/// then seal() once, then run() (exact, bit-identical to the unfused
-/// sequence) or run_dense() any number of times against states of the
-/// matching qubit count.
+/// then seal() once, then run() (bit-identical to the unfused sequence)
+/// any number of times against states of the matching qubit count.
 class FusedCircuit {
  public:
   explicit FusedCircuit(int qubit_count, int window = kDefaultFusionWindow);
@@ -159,10 +145,6 @@ class FusedCircuit {
   /// pass only pays for itself once a window holds >= 2 gates).
   /// Bit-identical to issuing the recorded calls directly on `state`.
   void run(StateVector& state) const;
-
-  /// Same pass structure through the dense matvec kernel (~1e-12 of
-  /// run(); see header comment).
-  void run_dense(StateVector& state) const;
 
   int qubit_count() const { return qubit_count_; }
   int window() const { return window_; }

@@ -43,9 +43,9 @@ namespace qdc::quantum {
 inline constexpr int kMaxQubits = 24;
 
 /// Hard cap on a fused-gate window (quantum/fusion.hpp): 2^6 = 64 panel
-/// amplitudes, 1 KiB — sized so a gather panel and a dense window matrix
-/// both stay L1-resident. Lives here (not fusion.hpp) because
-/// StateVector::set_fusion_window validates against it.
+/// amplitudes, 1 KiB — sized so a gather panel stays L1-resident. Lives
+/// here (not fusion.hpp) because StateVector::set_fusion_window validates
+/// against it.
 inline constexpr int kMaxFusionWindow = 6;
 
 using Amplitude = std::complex<double>;
@@ -114,12 +114,6 @@ class StateVector {
   /// apply_controlled — the exact-kernel contract the fused bench and the
   /// QuantumFusion determinism tests pin. Defined in fusion.cpp.
   void apply_fused(const FusedGate& fused);
-
-  /// Same pass, but multiplies each panel by the window's dense 2^w x 2^w
-  /// unitary instead of replaying gates. Changes floating-point
-  /// association, so it matches the exact kernel only to ~1e-12 — use when
-  /// a window holds more gates than its dimension. Defined in fusion.cpp.
-  void apply_fused_dense(const FusedGate& fused);
 
   /// Opt-in knob consulted by the algorithm layers (qft, grover_search,
   /// make_epr, teleport, ...): 0 (the default) keeps every caller on the

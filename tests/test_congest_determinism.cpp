@@ -186,6 +186,47 @@ TEST(EngineDeterminism, ParallelAuditorRejectsUnderchargedSend) {
   EXPECT_THROW(net.run({.max_rounds = 2, .threads = 8}), ModelError);
 }
 
+/// Silent on every port: counts its own on_round calls and halts at a
+/// node-specific round with that count as its output.
+class CountRoundsProgram : public NodeProgram {
+ public:
+  static int halt_round(NodeId u) { return 1 + static_cast<int>(u % 7); }
+
+  void on_round(NodeContext& ctx, const std::vector<Incoming>&) override {
+    ++calls_;
+    if (ctx.round() == halt_round(ctx.id())) {
+      ctx.set_output(calls_);
+      ctx.halt();
+    }
+  }
+
+ private:
+  std::int64_t calls_ = 0;
+};
+
+TEST(EngineDeterminism, DefaultRuleRunsEveryLiveNodeEveryRound) {
+  // dist/ programs count rounds on nodes nobody messages: the default wake
+  // rule must run every live node every round, so a node halting in round
+  // r has run r + 1 times, at every thread count.
+  Rng rng(31);
+  Network net(graph::random_connected(96, 0.08, rng),
+              NetworkConfig{.bandwidth = 8});
+  std::vector<std::int64_t> expected;
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    expected.push_back(CountRoundsProgram::halt_round(u) + 1);
+  }
+  const RunStats expected_stats{
+      .rounds = 8, .messages = 0, .fields = 0, .completed = true};
+  for (const int threads : {1, 2, 4}) {
+    net.install([](NodeId, const NodeContext&) {
+      return std::make_unique<CountRoundsProgram>();
+    });
+    EXPECT_EQ(net.run({.max_rounds = 20, .threads = threads}), expected_stats)
+        << "threads=" << threads;
+    EXPECT_EQ(net.outputs(), expected) << "threads=" << threads;
+  }
+}
+
 /// Event-driven epidemic: sources idle (via request_wake) until their
 /// launch round, then flood; every other node acts only on message
 /// arrival, folding its inbox non-commutatively, forwarding once and

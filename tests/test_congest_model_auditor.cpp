@@ -157,15 +157,45 @@ TEST(ModelAuditorTest, UnderchargeOnTopOfFullBudgetIsRejected) {
 }
 
 TEST(ModelAuditorTest, HaltedSenderIsRejected) {
-  Network net(graph::path_graph(2), NetworkConfig{});
-  net.install([](NodeId, const NodeContext&) {
-    return std::make_unique<HaltNowProgram>();
-  });
-  EXPECT_TRUE(net.run({.max_rounds = 3}).completed);
-  // Everyone has halted; a message smuggled out of a halted node must be
-  // caught by the halted-nodes-are-silent audit.
-  testing::NetworkTestAccess::stage_unchecked(net, 0, 0, {1});
-  EXPECT_THROW(net.run({.max_rounds = 1}), ModelError);
+  for (const bool frontier : {false, true}) {
+    Network net(graph::path_graph(2), NetworkConfig{});
+    net.install([](NodeId, const NodeContext&) {
+      return std::make_unique<HaltNowProgram>();
+    });
+    EXPECT_TRUE(net.run({.max_rounds = 3, .frontier = frontier}).completed);
+    // Everyone has halted, so no node computes; a message smuggled out of a
+    // halted node must still be delivered, and caught by the
+    // halted-nodes-are-silent audit, under either wake rule.
+    testing::NetworkTestAccess::stage_unchecked(net, 0, 0, {1});
+    EXPECT_THROW(net.run({.max_rounds = 1, .frontier = frontier}), ModelError)
+        << "frontier=" << frontier;
+  }
+}
+
+TEST(ModelAuditorTest, HaltedSenderInAnIdleShardIsRejected) {
+  // A 300-node path spans several shards. After one round the lower half
+  // has halted and the upper half idles, so the first shards hold no live
+  // node; a message smuggled out of node 0 must still be delivered and
+  // audited under either wake rule.
+  class HaltLowerHalf : public NodeProgram {
+   public:
+    void on_round(NodeContext& ctx, const std::vector<Incoming>&) override {
+      if (ctx.id() < ctx.node_count() / 2) {
+        ctx.set_output(0);
+        ctx.halt();
+      }
+    }
+  };
+  for (const bool frontier : {false, true}) {
+    Network net(graph::path_graph(300), NetworkConfig{});
+    net.install([](NodeId, const NodeContext&) {
+      return std::make_unique<HaltLowerHalf>();
+    });
+    EXPECT_FALSE(net.run({.max_rounds = 1, .frontier = frontier}).completed);
+    testing::NetworkTestAccess::stage_unchecked(net, 0, 0, {1});
+    EXPECT_THROW(net.run({.max_rounds = 3, .frontier = frontier}), ModelError)
+        << "frontier=" << frontier;
+  }
 }
 
 TEST(ModelAuditorTest, WithinBudgetInjectionPassesTheRecount) {
@@ -275,7 +305,7 @@ TEST(ModelAuditorTest, StandaloneFastForwardAfterSilentRoundIsLegal) {
 
 /// Node 0 messages node 1 in round 0 and halts; every other node halts in
 /// round 0 too, except a ticker (the last node) that stays awake a few
-/// rounds so the frontier loop keeps executing audited rounds.
+/// rounds so the event-driven rule keeps executing audited rounds.
 class SendToNeighborProgram : public NodeProgram {
  public:
   void on_round(NodeContext& ctx, const std::vector<Incoming>& inbox) override {

@@ -1,9 +1,8 @@
-// Tests for the gate-fusion layer (quantum/fusion.hpp): FusedGate window
-// matrices and gather tables, FusedCircuit packing (frontier joins,
-// commuting-gate hoisting, oracle barriers), the exact kernel's
-// bit-identity contract, the dense kernel's 1e-12 agreement, the fused
-// routing of the algorithm layer, and the contract guards on every public
-// entry point. Suite names here (QuantumFusion) are part of the TSan CI
+// Tests for the gate-fusion layer (quantum/fusion.hpp): FusedGate gather
+// tables, FusedCircuit packing (frontier joins, commuting-gate hoisting,
+// oracle barriers), the kernel's bit-identity contract, the fused routing
+// of the algorithm layer, and the contract guards on every public entry
+// point. Suite names here (QuantumFusion) are part of the TSan CI
 // regex alongside QuantumDeterminism.
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
-#include <numbers>
 #include <vector>
 
 #include "quantum/algorithms.hpp"
@@ -35,52 +33,7 @@ bool bit_identical(const StateVector& a, const StateVector& b) {
 }
 
 // ---------------------------------------------------------------------------
-// FusedGate: matrices, offsets, group bases
-
-TEST(QuantumFusion, SingleGateWindowMatrixIsTheGate) {
-  FusedGate f({0});
-  f.push_gate(hadamard(), 0);
-  const double s = 1.0 / std::numbers::sqrt2;
-  ASSERT_EQ(f.dim(), 2u);
-  EXPECT_NEAR(f.matrix()[0].real(), s, 1e-15);
-  EXPECT_NEAR(f.matrix()[1].real(), s, 1e-15);
-  EXPECT_NEAR(f.matrix()[2].real(), s, 1e-15);
-  EXPECT_NEAR(f.matrix()[3].real(), -s, 1e-15);
-}
-
-TEST(QuantumFusion, TwoHadamardsBuildTensorProduct) {
-  // H on local bit 0 then H on local bit 1: the window matrix must be
-  // H (x) H — every entry +/- 1/2, sign = parity of (row AND column).
-  FusedGate f({2, 5});
-  f.push_gate(hadamard(), 2);
-  f.push_gate(hadamard(), 5);
-  ASSERT_EQ(f.dim(), 4u);
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      const int parity = static_cast<int>(std::popcount(r & c) & 1U);
-      const double want = parity == 0 ? 0.5 : -0.5;
-      EXPECT_NEAR(f.matrix()[r * 4 + c].real(), want, 1e-15)
-          << r << "," << c;
-      EXPECT_NEAR(f.matrix()[r * 4 + c].imag(), 0.0, 1e-15);
-    }
-  }
-}
-
-TEST(QuantumFusion, ControlledGateEmbedsAtLocalBits) {
-  // CNOT with control = qubit 0 (local bit 0), target = qubit 1 (local
-  // bit 1). Columns are inputs: |01> (c=1, t=0) -> |11>, |11> -> |01>;
-  // the even-control columns stay put.
-  FusedGate f({0, 1});
-  f.push_controlled(Gate1{{0, 0}, {1, 0}, {1, 0}, {0, 0}}, 0, 1);
-  const auto& m = f.matrix();
-  auto at = [&](std::size_t r, std::size_t c) { return m[r * 4 + c]; };
-  EXPECT_NEAR(at(0, 0).real(), 1.0, 1e-15);
-  EXPECT_NEAR(at(3, 1).real(), 1.0, 1e-15);
-  EXPECT_NEAR(at(2, 2).real(), 1.0, 1e-15);
-  EXPECT_NEAR(at(1, 3).real(), 1.0, 1e-15);
-  EXPECT_NEAR(at(1, 1).real(), 0.0, 1e-15);
-  EXPECT_NEAR(at(3, 3).real(), 0.0, 1e-15);
-}
+// FusedGate: offsets, group bases
 
 TEST(QuantumFusion, OffsetsAndGroupBasesSpreadWindowBits) {
   // Window {1, 3} in a 4-qubit register: local bit 0 -> qubit 1 (offset
@@ -261,30 +214,6 @@ TEST(QuantumFusion, FuseThenCollapseMatchesGateByGateToZeroUlp) {
 }
 
 // ---------------------------------------------------------------------------
-// Dense kernel
-
-TEST(QuantumFusion, DenseKernelMatchesExactToTolerance) {
-  constexpr int kQubits = 10;
-  StateVector exact(kQubits);
-  StateVector dense(kQubits);
-  FusedCircuit c(kQubits, kDefaultFusionWindow);
-  for (int q = 0; q < kQubits; ++q) c.gate(hadamard(), q);
-  for (int q = 0; q + 1 < kQubits; ++q) c.cnot(q, q + 1);
-  for (int q = 0; q < kQubits; ++q) c.gate(rz(0.3 * q - 1.0), q);
-  for (int q = 0; q < kQubits; ++q) c.gate(ry(0.17 * q + 0.05), q);
-  c.seal();
-  c.run(exact);
-  c.run_dense(dense);
-  for (std::size_t i = 0; i < exact.dimension(); ++i) {
-    EXPECT_NEAR(dense.amplitude(i).real(), exact.amplitude(i).real(), 1e-12)
-        << i;
-    EXPECT_NEAR(dense.amplitude(i).imag(), exact.amplitude(i).imag(), 1e-12)
-        << i;
-  }
-  EXPECT_NEAR(dense.norm_squared(), 1.0, 1e-12);
-}
-
-// ---------------------------------------------------------------------------
 // Fused routing of the algorithm layer
 
 TEST(QuantumFusion, QftHonorsFusionWindowBitIdentically) {
@@ -354,8 +283,7 @@ TEST(QuantumFusion, SealAndRunOrderingIsEnforced) {
   FusedCircuit c(3, 2);
   c.gate(hadamard(), 0);
   StateVector s(3);
-  EXPECT_THROW(c.run(s), ContractError);        // run before seal
-  EXPECT_THROW(c.run_dense(s), ContractError);  // ditto for the dense path
+  EXPECT_THROW(c.run(s), ContractError);  // run before seal
   c.seal();
   EXPECT_THROW(c.gate(hadamard(), 1), ContractError);  // record after seal
   EXPECT_THROW(c.seal(), ContractError);               // double seal
@@ -374,8 +302,7 @@ TEST(QuantumFusion, StateVectorGuardsFusionArguments) {
   s.set_fusion_window(0);  // back to unfused is always legal
   FusedGate f({5});
   f.push_gate(hadamard(), 5);
-  EXPECT_THROW(s.apply_fused(f), ContractError);        // qubit 5 of 3
-  EXPECT_THROW(s.apply_fused_dense(f), ContractError);
+  EXPECT_THROW(s.apply_fused(f), ContractError);  // qubit 5 of 3
 }
 
 TEST(QuantumFusion, AlignedShardPlanKeepsBlocksWhole) {

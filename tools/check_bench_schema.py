@@ -3,37 +3,43 @@
 
 Usage:
 
-    python3 tools/check_bench_schema.py BENCH_engine.json
-    python3 tools/check_bench_schema.py BENCH_quantum.json
-    python3 tools/check_bench_schema.py BENCH_service.json
+    python3 tools/check_bench_schema.py [--gate] REPORT.json [REPORT.json ...]
 
+e.g. BENCH_engine.json, BENCH_quantum.json or BENCH_service.json.
 Dispatches on the document's "bench" key:
 
   * "engine_scaling" (schema v3, bench_engine_scaling): topology cases with
     rounds_per_sec results plus the batched-sweep section. v3 adds two
     per-case keys: "topology_kind" (the TopologyView kind string — e.g.
     "materialized", "path", "lb_network") and "frontier" (whether the run
-    used the active-frontier round loop).
+    used the event-driven wake rule, RunOptions::frontier, instead of
+    re-waking every live node each round).
   * "quantum_scaling" (schema v2, bench_quantum_scaling): statevector
     kernel cases with ops_per_sec results, a per-case payload checksum
     (0x + 16 hex digits — the amplitude-bit fold the bench asserts equal
     across thread counts), and a Grover sweep section. v2 adds two
-    per-case keys: "variant" ("unfused", "fused" or "fused_dense" —
-    which kernel family ran, see src/quantum/fusion.hpp) and
-    "fusion_window" (0 for unfused, else the window size in
-    [2, kMaxFusionWindow]).
+    per-case keys: "variant" ("unfused" or "fused" — which kernel family
+    ran, see src/quantum/fusion.hpp) and "fusion_window" (0 for unfused,
+    else the window size in [2, kMaxFusionWindow]).
   * "service_throughput" (schema v1, bench_service_throughput):
     end-to-end daemon throughput — fresh-execution cases with
     jobs_per_sec across server worker counts, plus a cache-hit serving
     sweep (requests_per_sec across client counts, hit_rate in [0, 1]).
 
-Both share the value-sanity core (positive timings, threads=1 / workers=1
+All share the value-sanity core (positive timings, threads=1 / workers=1
 baseline present, no duplicate thread counts) so CI catches a bench that
-silently emits garbage. Exit status: 0 on success, 1 on any violation.
+silently emits garbage.
+
+--gate also evaluates the speedup gates of each report's bench, one row
+of the GATES table each. A row compares two (case, threads) results of one
+report and fails when their rate ratio is below its threshold or either
+result is missing; its skip rule may skip it, always with a printed
+reason. Exit status: 0 on success, 1 on any violation or failed gate.
 
 The checker is also importable: check_document(doc) returns the violation
-list for an already-parsed document, which is how
-tools/test_check_bench_schema.py unit-tests every rule.
+list for an already-parsed document and check_gates(doc) the gate
+verdicts, which is how tools/test_check_bench_schema.py unit-tests every
+rule and every gate row.
 """
 
 from __future__ import annotations
@@ -52,7 +58,57 @@ MAX_QUBITS = 24
 # Mirrors qdc::quantum::kMaxFusionWindow (src/quantum/state.hpp) and the
 # kernel variants of src/quantum/fusion.hpp.
 MAX_FUSION_WINDOW = 6
-QUANTUM_VARIANTS = ("unfused", "fused", "fused_dense")
+QUANTUM_VARIANTS = ("unfused", "fused")
+
+# Speedup gates, one row each: (bench, numerator case@threads, denominator
+# case@threads, minimum ratio, skip rule). The ratio is the numerator's rate
+# over the denominator's; both cases of a row do the same work, so it is
+# also their wall-time ratio.
+#   * engine parallel: the N(Gamma, L) round engine at 4 threads vs 1;
+#   * engine frontier: the event-driven wake rule vs re-waking every live
+#     node, on ~1 active node per round;
+#   * quantum parallel: the gate kernels at 4 threads vs 1 — a lower bar,
+#     since they stream every amplitude through memory once per gate and
+#     saturate bandwidth well before the round engine does;
+#   * quantum fused: one full-state pass per fused window vs one per gate.
+GATES = (
+    ("engine_scaling", "lb_network@4", "lb_network@1", 1.5, "parallel"),
+    ("engine_scaling", "sparse_activity_frontier@1",
+     "sparse_activity_dense@1", 2.0, "never"),
+    ("quantum_scaling", "gates@4", "gates@1", 1.3, "parallel"),
+    ("quantum_scaling", "gates_fused@1", "gates@1", 1.5, "fused"),
+)
+
+# Parallel ratios need this many hardware threads to be measurable; a
+# single-thread ratio is measurable anywhere.
+GATE_THREADS = 4
+
+
+def _few_threads(doc: dict) -> str | None:
+    hw = doc.get("hardware_threads")
+    if isinstance(hw, int) and hw < GATE_THREADS:
+        return (f"runner has {hw} hardware thread(s), needs >= "
+                f"{GATE_THREADS}")
+    return None
+
+
+def _smoke(doc: dict) -> str | None:
+    if doc.get("mode") == "smoke":
+        return "smoke-mode states are cache-resident"
+    return None
+
+
+# Each rule returns the reason to skip a row on this report, or None.
+SKIP_RULES = {
+    "never": lambda doc: None,
+    "parallel": _few_threads,
+    # The fused claim is settled by the fusion work, not here: it keeps the
+    # skips it had when it was its own script.
+    "fused": lambda doc: _smoke(doc) or _few_threads(doc),
+}
+
+RATE_KEYS = {"engine_scaling": "rounds_per_sec",
+             "quantum_scaling": "ops_per_sec"}
 
 CHECKSUM_RE = re.compile(r"0x[0-9a-f]{16}")
 
@@ -275,28 +331,78 @@ def check_document(doc) -> list[str]:
     return list(ERRORS)
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: check_bench_schema.py BENCH_<engine|quantum|service>.json",
-              file=sys.stderr)
-        return 2
-    path = Path(argv[0])
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"check_bench_schema: cannot parse {path}: {exc}", file=sys.stderr)
-        return 1
+def case_rate(doc: dict, spec: str) -> float | None:
+    """The positive rate of result `spec` ("case@threads"), or None."""
+    name, threads = spec.rsplit("@", 1)
+    for case in doc.get("cases", []):
+        if case.get("name") != name:
+            continue
+        for res in case.get("results", []):
+            if res.get("threads") == int(threads):
+                rate = res.get(RATE_KEYS[doc["bench"]])
+                if isinstance(rate, (int, float)) and rate > 0:
+                    return float(rate)
+    return None
 
-    errors = check_document(doc)
-    for err in errors:
-        print(err)
-    if errors:
-        print(f"check_bench_schema: {len(errors)} violation(s) in {path}")
-        return 1
-    cases = doc.get("cases") if isinstance(doc, dict) else None
-    print(f"check_bench_schema: {path} OK "
-          f"({len(cases) if isinstance(cases, list) else 0} case(s))")
-    return 0
+
+def check_gates(doc: dict) -> list[tuple[str, str]]:
+    """Evaluates the GATES rows of doc's bench, in table order.
+
+    Returns one (verdict, message) per row, the verdict being OK, SKIPPED,
+    REGRESSION or MISSING."""
+    verdicts = []
+    for bench, num, den, threshold, rule in GATES:
+        if bench != doc.get("bench"):
+            continue
+        what = f"{num} / {den} >= {threshold}x"
+        reason = SKIP_RULES[rule](doc)
+        if reason is not None:
+            verdicts.append(("SKIPPED", f"{what} did NOT run: {reason}"))
+            continue
+        num_rate = case_rate(doc, num)
+        den_rate = case_rate(doc, den)
+        if num_rate is None or den_rate is None:
+            missing = num if num_rate is None else den
+            verdicts.append(("MISSING", f"{what}: no positive rate for "
+                                        f"{missing}"))
+            continue
+        ratio = num_rate / den_rate
+        verdict = "OK" if ratio >= threshold else "REGRESSION"
+        verdicts.append((verdict, f"{what}: measured {ratio:.2f}x"))
+    return verdicts
+
+
+def main(argv: list[str]) -> int:
+    gate = "--gate" in argv
+    paths = [Path(a) for a in argv if a != "--gate"]
+    if not paths:
+        print("usage: check_bench_schema.py [--gate] REPORT.json "
+              "[REPORT.json ...]", file=sys.stderr)
+        return 2
+    status = 0
+    for path in paths:
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"check_bench_schema: cannot parse {path}: {exc}",
+                  file=sys.stderr)
+            status = 1
+            continue
+        errors = check_document(doc)
+        for err in errors:
+            print(err)
+        if errors:
+            print(f"check_bench_schema: {len(errors)} violation(s) in {path}")
+            status = 1
+            continue
+        print(f"check_bench_schema: {path} OK ({len(doc['cases'])} case(s))")
+        if not gate:
+            continue
+        for verdict, message in check_gates(doc):
+            print(f"check_bench_schema: gate {verdict} — {message}")
+            if verdict in ("REGRESSION", "MISSING"):
+                status = 1
+    return status
 
 
 if __name__ == "__main__":

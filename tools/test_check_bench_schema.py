@@ -4,8 +4,10 @@
 Covers: a valid engine schema-v3 document, a valid quantum schema-v2
 document, a valid service schema-v1 document, missing keys, wrong types,
 value-sanity rules, the v3 topology_kind / frontier case keys, the
-checksum format, the service hit_rate range, and the sweep-section rules
-— so schema edits cannot silently break the CI validation step.
+checksum format, the service hit_rate range, the sweep-section rules, and
+pass / regression / skip / missing-case for every row of the speedup-gate
+table — so schema or gate edits cannot silently break the CI validation
+step.
 """
 
 from __future__ import annotations
@@ -283,7 +285,7 @@ class QuantumDocumentTest(unittest.TestCase):
     def test_fused_case_window_out_of_range(self):
         for bad in (0, 1, 7):
             doc = valid_quantum_document()
-            doc["cases"][0]["variant"] = "fused_dense"
+            doc["cases"][0]["variant"] = "fused"
             doc["cases"][0]["fusion_window"] = bad
             self.assert_violation(doc, "fusion_window must be in [2, 6]")
 
@@ -447,6 +449,143 @@ class ServiceDocumentTest(unittest.TestCase):
             json.dump(valid_service_document(), f)
             path = f.name
         self.assertEqual(check_bench_schema.main([path]), 0)
+
+
+def rate_case(doc: dict, name: str, rates: dict[int, float]) -> dict:
+    """A case of doc's bench with one result per (threads, rate)."""
+    rate_key = check_bench_schema.RATE_KEYS[doc["bench"]]
+    case = copy.deepcopy(doc["cases"][0])
+    case["name"] = name
+    case["results"] = [
+        {"threads": t, "seconds": 1.0 / r, rate_key: r, "speedup": 1.0}
+        for t, r in sorted(rates.items())]
+    return case
+
+
+def gate_ready_document(bench: str) -> dict:
+    """A report whose every gate row of `bench` passes on a 4-thread host."""
+    if bench == "engine_scaling":
+        doc = valid_document()
+        doc["cases"] = [
+            rate_case(doc, "lb_network", {1: 10.0, 4: 30.0}),
+            rate_case(doc, "sparse_activity_dense", {1: 100.0}),
+            rate_case(doc, "sparse_activity_frontier", {1: 5000.0}),
+        ]
+    else:
+        doc = valid_quantum_document()
+        doc["cases"] = [
+            rate_case(doc, "gates", {1: 50.0, 4: 150.0}),
+            rate_case(doc, "gates_fused", {1: 100.0}),
+        ]
+        doc["cases"][1]["variant"] = "fused"
+        doc["cases"][1]["fusion_window"] = 5
+    doc["mode"] = "gate"
+    doc["hardware_threads"] = 4
+    return doc
+
+
+def set_rate(doc: dict, spec: str, rate: float) -> None:
+    name, threads = spec.rsplit("@", 1)
+    rate_key = check_bench_schema.RATE_KEYS[doc["bench"]]
+    for case in doc["cases"]:
+        for res in case["results"]:
+            if case["name"] == name and res["threads"] == int(threads):
+                res[rate_key] = rate
+                res["seconds"] = 1.0 / rate
+
+
+def drop_result(doc: dict, spec: str) -> None:
+    """Drops one result, and its case with it if that was the last one."""
+    name, threads = spec.rsplit("@", 1)
+    for case in doc["cases"]:
+        if case["name"] == name:
+            case["results"] = [r for r in case["results"]
+                               if r["threads"] != int(threads)]
+    doc["cases"] = [c for c in doc["cases"] if c["results"]]
+
+
+class GateTableTest(unittest.TestCase):
+    """Every row of GATES: pass, regression, skip and missing case."""
+
+    def verdict(self, doc: dict, row: tuple) -> str:
+        self.assertEqual(check_bench_schema.check_document(doc), [])
+        rows = [r for r in check_bench_schema.GATES if r[0] == doc["bench"]]
+        verdicts = check_bench_schema.check_gates(doc)
+        self.assertEqual(len(verdicts), len(rows))
+        return verdicts[rows.index(row)][0]
+
+    def for_each_row(self, body) -> None:
+        for row in check_bench_schema.GATES:
+            with self.subTest(row=row):
+                body(row, gate_ready_document(row[0]))
+
+    def test_table_keeps_the_four_thresholds(self):
+        self.assertEqual(
+            [(num, den, threshold)
+             for _, num, den, threshold, _ in check_bench_schema.GATES],
+            [("lb_network@4", "lb_network@1", 1.5),
+             ("sparse_activity_frontier@1", "sparse_activity_dense@1", 2.0),
+             ("gates@4", "gates@1", 1.3),
+             ("gates_fused@1", "gates@1", 1.5)])
+
+    def test_each_row_passes(self):
+        self.for_each_row(
+            lambda row, doc: self.assertEqual(self.verdict(doc, row), "OK"))
+
+    def test_each_row_passes_exactly_at_threshold(self):
+        def body(row, doc):
+            _, num, den, threshold, _ = row
+            set_rate(doc, den, 8.0)
+            set_rate(doc, num, 8.0 * threshold)
+            self.assertEqual(self.verdict(doc, row), "OK")
+        self.for_each_row(body)
+
+    def test_each_row_flags_a_regression(self):
+        def body(row, doc):
+            _, num, den, threshold, _ = row
+            set_rate(doc, den, 8.0)
+            set_rate(doc, num, 8.0 * threshold * 0.9)
+            self.assertEqual(self.verdict(doc, row), "REGRESSION")
+        self.for_each_row(body)
+
+    def test_each_row_flags_a_missing_case(self):
+        def body(row, doc):
+            drop_result(doc, row[1])
+            self.assertEqual(self.verdict(doc, row), "MISSING")
+        self.for_each_row(body)
+
+    def test_only_parallel_and_fused_rows_skip_below_four_threads(self):
+        def body(row, doc):
+            doc["hardware_threads"] = 2
+            want = "OK" if row[4] == "never" else "SKIPPED"
+            self.assertEqual(self.verdict(doc, row), want)
+        self.for_each_row(body)
+
+    def test_only_the_fused_row_skips_in_smoke_mode(self):
+        def body(row, doc):
+            doc["mode"] = "smoke"
+            want = "SKIPPED" if row[4] == "fused" else "OK"
+            self.assertEqual(self.verdict(doc, row), want)
+        self.for_each_row(body)
+
+    def test_a_skipped_row_cannot_hide_a_regression_elsewhere(self):
+        doc = gate_ready_document("engine_scaling")
+        doc["hardware_threads"] = 1
+        set_rate(doc, "sparse_activity_frontier@1", 150.0)
+        self.assertEqual([v for v, _ in check_bench_schema.check_gates(doc)],
+                         ["SKIPPED", "REGRESSION"])
+
+    def test_main_gate_flag_fails_on_regression_only(self):
+        import json
+        import tempfile
+        doc = gate_ready_document("quantum_scaling")
+        set_rate(doc, "gates@4", 55.0)
+        with tempfile.NamedTemporaryFile(
+                "w", suffix=".json", delete=False) as f:
+            json.dump(doc, f)
+            path = f.name
+        self.assertEqual(check_bench_schema.main([path]), 0)
+        self.assertEqual(check_bench_schema.main(["--gate", path]), 1)
 
 
 class MainEntryTest(unittest.TestCase):
