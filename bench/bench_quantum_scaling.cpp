@@ -30,13 +30,12 @@
 // plausible-looking report; the QuantumDeterminism suite pins the same
 // property in ctest.
 //
-// Schema version 2 adds fused-kernel variants (quantum/fusion.hpp): each
-// case carries "variant" ("unfused" or "fused") and
-// "fusion_window" (0 for unfused). The fused "gates" and "grover" variants
-// record the exact same gate sequence as their unfused twins; the bench
-// asserts their checksums are BIT-IDENTICAL to the unfused payloads and
-// that the fused gates case beats the unfused one on single-thread wall
-// time, and exits 1 if either property fails.
+// Each case carries "variant" ("unfused" or "fused") and "window" (the
+// FusedCircuit window of quantum/fusion.hpp; 0 for unfused). The
+// "gates_fused" case records the exact same gate sequence as "gates"; the
+// bench asserts its checksum is BIT-IDENTICAL to the unfused payload and
+// that it beats "gates" on single-thread wall time, and exits 1 if either
+// property fails.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -104,7 +103,7 @@ struct ThreadResult {
 struct CaseResult {
   std::string name;
   std::string variant = "unfused";
-  int fusion_window = 0;  // 0 = unfused path
+  int window = 0;  // FusedCircuit window; 0 = unfused path
   int qubits = 0;
   std::int64_t ops = 0;
   std::uint64_t checksum = 0;
@@ -145,7 +144,7 @@ const char* variant_name(Variant v) {
 /// deliberately inside the timed region — it is part of what the fused
 /// path costs.
 Workload run_gates(int qubits, int layers, qdc::util::ThreadPool* pool,
-                   Variant variant, int fusion_window) {
+                   Variant variant, int window) {
   StateVector s(qubits, pool);
   Workload w;
   for (int layer = 0; layer < layers; ++layer) {
@@ -165,7 +164,7 @@ Workload run_gates(int qubits, int layers, qdc::util::ThreadPool* pool,
           [](std::size_t i) { return (i * 2654435761ULL) % 11 == 7; });
     }
   } else {
-    qdc::quantum::FusedCircuit circuit(qubits, fusion_window);
+    qdc::quantum::FusedCircuit circuit(qubits, window);
     for (int layer = 0; layer < layers; ++layer) {
       for (int q = 0; q < qubits; ++q) {
         circuit.gate(qdc::quantum::hadamard(), q);
@@ -211,14 +210,11 @@ Workload run_reduce(int qubits, int reps, qdc::util::ThreadPool* pool) {
 }
 
 /// The full-search workload: one fixed-seed Grover run, oracle to collapse.
-/// fusion_window = 0 runs the classic loop; > 0 routes the Hadamard layers
-/// through fused windows (oracle and diffusion phases stay barriers).
-Workload run_grover(int qubits, qdc::util::ThreadPool* pool,
-                    int fusion_window) {
+Workload run_grover(int qubits, qdc::util::ThreadPool* pool) {
   qdc::Rng rng(20140721);
   const auto r = qdc::quantum::grover_search(
       qubits, [](std::size_t i) { return i % 257 == 3; }, rng,
-      /*iterations=*/-1, pool, fusion_window);
+      /*iterations=*/-1, pool);
   Workload w;
   w.ops = r.iterations;
   std::uint64_t acc = mix64(static_cast<std::uint64_t>(r.found));
@@ -227,15 +223,15 @@ Workload run_grover(int qubits, qdc::util::ThreadPool* pool,
   return w;
 }
 
-CaseResult run_case(const std::string& name, Variant variant,
-                    int fusion_window, int qubits, int reps,
+CaseResult run_case(const std::string& name, Variant variant, int window,
+                    int qubits, int reps,
                     const std::vector<int>& thread_counts,
                     const std::function<Workload(qdc::util::ThreadPool*)>&
                         workload) {
   CaseResult result;
   result.name = name;
   result.variant = variant_name(variant);
-  result.fusion_window = variant == Variant::kUnfused ? 0 : fusion_window;
+  result.window = variant == Variant::kUnfused ? 0 : window;
   result.qubits = qubits;
   bool first = true;
   for (const int threads : thread_counts) {
@@ -341,7 +337,7 @@ void write_json(const std::string& path, const std::vector<CaseResult>& cases,
   }
   out << "{\n";
   out << "  \"bench\": \"quantum_scaling\",\n";
-  out << "  \"schema_version\": 2,\n";
+  out << "  \"schema_version\": 3,\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   out << "  \"mode\": \"" << mode << "\",\n";
   out << "  \"hardware_threads\": "
@@ -352,7 +348,7 @@ void write_json(const std::string& path, const std::vector<CaseResult>& cases,
     out << "    {\n";
     out << "      \"name\": \"" << cr.name << "\",\n";
     out << "      \"variant\": \"" << cr.variant << "\",\n";
-    out << "      \"fusion_window\": " << cr.fusion_window << ",\n";
+    out << "      \"window\": " << cr.window << ",\n";
     out << "      \"qubits\": " << cr.qubits << ",\n";
     out << "      \"ops\": " << cr.ops << ",\n";
     out << "      \"checksum\": \"" << hex64(cr.checksum) << "\",\n";
@@ -422,7 +418,7 @@ int main(int argc, char** argv) {
   const int reduce_qubits = smoke ? 14 : 22;
   const int reduce_reps = smoke ? 2 : 8;
   const int grover_qubits = smoke ? 10 : 16;
-  const int fusion_window = qdc::quantum::kDefaultFusionWindow;
+  const int window = qdc::quantum::kDefaultFusionWindow;
   const int reps = smoke ? 2 : 3;
   const std::vector<int> thread_counts =
       gate ? std::vector<int>{1, 4}
@@ -430,11 +426,10 @@ int main(int argc, char** argv) {
 
   std::vector<CaseResult> cases;
   const auto gates_case = [&](const std::string& name, Variant variant) {
-    return run_case(name, variant, fusion_window, gate_qubits, reps,
-                    thread_counts,
+    return run_case(name, variant, window, gate_qubits, reps, thread_counts,
                     [&, variant](qdc::util::ThreadPool* pool) {
                       return run_gates(gate_qubits, layers, pool, variant,
-                                       fusion_window);
+                                       window);
                     });
   };
   cases.push_back(gates_case("gates", Variant::kUnfused));
@@ -449,42 +444,23 @@ int main(int argc, char** argv) {
     cases.push_back(run_case("grover", Variant::kUnfused, 0, grover_qubits,
                              reps, thread_counts,
                              [&](qdc::util::ThreadPool* pool) {
-                               return run_grover(grover_qubits, pool, 0);
-                             }));
-    cases.push_back(run_case("grover_fused", Variant::kFused, fusion_window,
-                             grover_qubits, reps, thread_counts,
-                             [&](qdc::util::ThreadPool* pool) {
-                               return run_grover(grover_qubits, pool,
-                                                 fusion_window);
+                               return run_grover(grover_qubits, pool);
                              }));
   }
 
-  // The fused contract, asserted on the live payloads: the fused variants
-  // must be BIT-IDENTICAL to their unfused twins, and fusing must actually
-  // pay on the memory-bound gates case at one thread.
-  const auto find_case = [&](const std::string& name) -> const CaseResult& {
-    for (const CaseResult& cr : cases) {
-      if (cr.name == name) return cr;
-    }
-    std::cerr << "quantum_scaling: missing case " << name << "\n";
-    std::exit(1);
-  };
-  const auto expect_same_payload = [&](const std::string& fused,
-                                       const std::string& unfused) {
-    if (find_case(fused).checksum != find_case(unfused).checksum) {
-      std::cerr << "quantum_scaling: " << fused
-                << " checksum diverges from " << unfused
-                << " — the fused kernel broke bit-identity\n";
+  // The fused contract, asserted on the live payloads: gates_fused must be
+  // BIT-IDENTICAL to gates, and fusing must actually pay on that
+  // memory-bound case at one thread.
+  {
+    const CaseResult& unfused = cases[0];
+    const CaseResult& fused = cases[1];
+    if (fused.checksum != unfused.checksum) {
+      std::cerr << "quantum_scaling: gates_fused checksum diverges from "
+                   "gates — the fused kernel broke bit-identity\n";
       std::exit(1);
     }
-  };
-  expect_same_payload("gates_fused", "gates");
-  if (!gate) {
-    expect_same_payload("grover_fused", "grover");
-  }
-  {
-    const double unfused_t1 = find_case("gates").results.front().seconds;
-    const double fused_t1 = find_case("gates_fused").results.front().seconds;
+    const double unfused_t1 = unfused.results.front().seconds;
+    const double fused_t1 = fused.results.front().seconds;
     if (smoke) {
       // Smoke states are small enough to sit in cache on CI runners, so
       // the wall-time ordering is noise there; report it, don't gate.

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <numbers>
 
-#include "quantum/fusion.hpp"
 #include "quantum/gates.hpp"
 #include "util/expect.hpp"
 
@@ -16,97 +15,28 @@ Gate1 phase_gate(double theta) {
   return Gate1{{1, 0}, {0, 0}, {0, 0}, {std::cos(theta), std::sin(theta)}};
 }
 
-/// QFT gate sequence, emitted to any sink with apply/apply_controlled/swap
-/// verbs. Both the direct and the fused path go through this one emitter,
-/// so the sequences cannot drift apart — which is what the fused path's
-/// bit-identity contract rides on.
-template <typename Sink>
-void emit_qft(int n, Sink&& sink) {
-  for (int i = n - 1; i >= 0; --i) {
-    sink.one(hadamard(), i);
-    for (int k = i - 1; k >= 0; --k) {
-      sink.two(phase_gate(std::numbers::pi / double(1 << (i - k))), k, i);
-    }
-  }
-  for (int j = 0; j < n / 2; ++j) {
-    sink.exchange(j, n - 1 - j);
-  }
-}
-
-/// Inverse-QFT gate sequence; same single emitter as emit_qft.
-template <typename Sink>
-void emit_inverse_qft(int n, Sink&& sink) {
-  for (int j = 0; j < n / 2; ++j) {
-    sink.exchange(j, n - 1 - j);
-  }
-  for (int i = 0; i < n; ++i) {
-    for (int k = 0; k <= i - 1; ++k) {
-      sink.two(phase_gate(-std::numbers::pi / double(1 << (i - k))), k, i);
-    }
-    sink.one(hadamard(), i);
-  }
-}
-
-/// Sink applying gates directly to a StateVector (the classic path).
-struct DirectSink {
-  StateVector& state;
-  void one(const Gate1& g, int q) { state.apply(g, q); }
-  void two(const Gate1& g, int c, int t) { state.apply_controlled(g, c, t); }
-  void exchange(int a, int b) { state.swap(a, b); }
-};
-
-/// Sink recording gates into a FusedCircuit (the fused path).
-struct CircuitSink {
-  FusedCircuit& circuit;
-  void one(const Gate1& g, int q) { circuit.gate(g, q); }
-  void two(const Gate1& g, int c, int t) { circuit.controlled(g, c, t); }
-  void exchange(int a, int b) { circuit.swap(a, b); }
-};
-
 }  // namespace
 
 bool deutsch_jozsa_is_constant(int num_qubits,
-                               const std::function<bool(std::size_t)>& f,
-                               int fusion_window) {
+                               const std::function<bool(std::size_t)>& f) {
   QDC_EXPECT(num_qubits >= 1 && num_qubits <= kMaxQubits,
              "deutsch_jozsa: qubit count out of range");
   StateVector state(num_qubits);
-  state.set_fusion_window(fusion_window);  // validates the window argument
-  if (fusion_window > 0) {
-    FusedCircuit circuit(num_qubits, fusion_window);
-    for (int q = 0; q < num_qubits; ++q) circuit.gate(hadamard(), q);
-    circuit.oracle(f);
-    for (int q = 0; q < num_qubits; ++q) circuit.gate(hadamard(), q);
-    circuit.seal();
-    circuit.run(state);
-  } else {
-    for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
-    state.oracle_phase(f);  // phase kickback form of the oracle
-    for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
-  }
+  for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
+  state.oracle_phase(f);  // phase kickback form of the oracle
+  for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
   // Constant f leaves all amplitude on |0...0>; balanced f leaves none.
   return state.probability_of(0) > 0.5;
 }
 
 std::size_t bernstein_vazirani(int num_qubits,
-                               const std::function<bool(std::size_t)>& f,
-                               int fusion_window) {
+                               const std::function<bool(std::size_t)>& f) {
   QDC_EXPECT(num_qubits >= 1 && num_qubits <= kMaxQubits,
              "bernstein_vazirani: qubit count out of range");
   StateVector state(num_qubits);
-  state.set_fusion_window(fusion_window);
-  if (fusion_window > 0) {
-    FusedCircuit circuit(num_qubits, fusion_window);
-    for (int q = 0; q < num_qubits; ++q) circuit.gate(hadamard(), q);
-    circuit.oracle(f);
-    for (int q = 0; q < num_qubits; ++q) circuit.gate(hadamard(), q);
-    circuit.seal();
-    circuit.run(state);
-  } else {
-    for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
-    state.oracle_phase(f);
-    for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
-  }
+  for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
+  state.oracle_phase(f);
+  for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
   // The state is exactly |s>; report the most likely basis state.
   std::size_t best = 0;
   double best_p = -1.0;
@@ -124,26 +54,30 @@ std::size_t bernstein_vazirani(int num_qubits,
 
 void qft(StateVector& state) {
   const int n = state.qubit_count();
-  if (state.fusion_window() > 0) {
-    FusedCircuit circuit(n, state.fusion_window());
-    emit_qft(n, CircuitSink{circuit});
-    circuit.seal();
-    circuit.run(state);
-    return;
+  for (int i = n - 1; i >= 0; --i) {
+    state.apply(hadamard(), i);
+    for (int k = i - 1; k >= 0; --k) {
+      state.apply_controlled(
+          phase_gate(std::numbers::pi / double(1 << (i - k))), k, i);
+    }
   }
-  emit_qft(n, DirectSink{state});
+  for (int j = 0; j < n / 2; ++j) {
+    state.swap(j, n - 1 - j);
+  }
 }
 
 void inverse_qft(StateVector& state) {
   const int n = state.qubit_count();
-  if (state.fusion_window() > 0) {
-    FusedCircuit circuit(n, state.fusion_window());
-    emit_inverse_qft(n, CircuitSink{circuit});
-    circuit.seal();
-    circuit.run(state);
-    return;
+  for (int j = 0; j < n / 2; ++j) {
+    state.swap(j, n - 1 - j);
   }
-  emit_inverse_qft(n, DirectSink{state});
+  for (int i = 0; i < n; ++i) {
+    for (int k = 0; k <= i - 1; ++k) {
+      state.apply_controlled(
+          phase_gate(-std::numbers::pi / double(1 << (i - k))), k, i);
+    }
+    state.apply(hadamard(), i);
+  }
 }
 
 }  // namespace qdc::quantum

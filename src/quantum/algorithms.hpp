@@ -13,28 +13,20 @@ namespace qdc::quantum {
 /// Deutsch-Jozsa: decides with ONE query whether a promise function
 /// f : {0,1}^n -> {0,1} is constant or balanced. Returns true iff
 /// constant. The promise (constant or exactly-balanced) is the caller's
-/// responsibility. `fusion_window` = 0 (default) runs the classic
-/// per-gate kernels; w in [2, kMaxFusionWindow] routes the Hadamard
-/// layers through the exact fused kernels (quantum/fusion.hpp) —
-/// bit-identical results, fewer full-state passes.
+/// responsibility.
 bool deutsch_jozsa_is_constant(int num_qubits,
-                               const std::function<bool(std::size_t)>& f,
-                               int fusion_window = 0);
+                               const std::function<bool(std::size_t)>& f);
 
 /// Bernstein-Vazirani: recovers the hidden string s of f(x) = <s, x> mod 2
-/// with one query. Returns s as a basis index. `fusion_window` as in
-/// deutsch_jozsa_is_constant.
+/// with one query. Returns s as a basis index.
 std::size_t bernstein_vazirani(int num_qubits,
-                               const std::function<bool(std::size_t)>& f,
-                               int fusion_window = 0);
+                               const std::function<bool(std::size_t)>& f);
 
 /// In-place quantum Fourier transform over all qubits of `state`
 /// (convention: QFT|x> = sum_y exp(2 pi i x y / 2^n) |y> / sqrt(2^n)).
-/// Honors state.fusion_window(): when nonzero, the gate sequence runs
-/// through the exact fused kernels, bit-identical to the unfused path.
 void qft(StateVector& state);
 
-/// Inverse QFT. Honors state.fusion_window() like qft.
+/// Inverse QFT.
 void inverse_qft(StateVector& state);
 
 }  // namespace qdc::quantum

@@ -231,26 +231,21 @@ void FusedCircuit::run(StateVector& state) const {
             gate.qubits()[static_cast<std::size_t>(op.local0)]);
       }
     } else {
-      state.apply_fused(gate);
+      apply_window(state, gate);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// StateVector fused kernel (declared in state.hpp, defined here so
-// state.cpp stays free of fusion machinery)
+// Panel kernel. run() has checked the state's qubit count against the
+// circuit's, and every window qubit was range-checked when it was recorded.
 
-void StateVector::apply_fused(const FusedGate& fused) {
-  QDC_EXPECT(fused.qubits().back() < qubit_count_,
-             "StateVector::apply_fused: window qubit out of range "
-             "(highest = " +
-                 std::to_string(fused.qubits().back()) + ", qubit_count = " +
-                 std::to_string(qubit_count_) + ")");
+void FusedCircuit::apply_window(StateVector& state, const FusedGate& fused) {
   const int w = fused.window();
   const std::size_t block = fused.dim();
   const std::size_t* offsets = fused.offsets().data();
   const std::vector<WindowOp>& ops = fused.ops();
-  Amplitude* amps = amplitudes_.data();
+  Amplitude* amps = state.amplitudes_.data();
   // Groups are disjoint 2^w-amplitude gathers; the aligned plan keeps
   // every group inside one shard, so there is no cross-shard state at all
   // and results are bit-identical for every pool.
@@ -264,7 +259,8 @@ void StateVector::apply_fused(const FusedGate& fused) {
   }
   const std::size_t chunk = std::size_t{1} << low_run;
   util::run_sharded(
-      pool_, util::ShardPlan::over_aligned(amplitudes_.size(), block),
+      state.pool_,
+      util::ShardPlan::over_aligned(state.amplitudes_.size(), block),
       [&](int, std::size_t begin, std::size_t end) {
         alignas(64) Amplitude panel[std::size_t{1} << kMaxFusionWindow];
         for (std::size_t group = begin >> w; group < end >> w; ++group) {

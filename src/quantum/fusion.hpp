@@ -4,11 +4,12 @@
 //
 // Why: every StateVector::apply is a memory-bound sweep over all 2^n
 // amplitudes, so a circuit of G gates costs G full passes. Fusing gates
-// into windows of w qubits costs one pass per *window* instead — on the
-// out-of-cache states the paper's Grover / simulation workloads need
-// (2^21+ amplitudes), that traffic reduction is the whole speedup.
+// into windows of w qubits costs one pass per *window* instead; on
+// out-of-cache states (2^21+ amplitudes) that traffic reduction is where
+// any speedup comes from. The fused row of the speedup-gate table in
+// tools/check_bench_schema.py measures it.
 //
-// The kernel (FusedCircuit::run, StateVector::apply_fused) gathers each
+// The kernel (FusedCircuit::run and its private panel pass) gathers each
 // 2^w-amplitude group into a contiguous panel, replays the window's
 // recorded gates inside the panel with the same pair-update expressions
 // as the classic kernels, and scatters back. Gather and scatter are pure
@@ -22,9 +23,13 @@
 // disjoint, no cross-group reductions exist, and results are
 // bit-identical for a null pool and pools of 1, 2 or N threads.
 //
-// The fused path is opt-in (StateVector::set_fusion_window, or the
-// fusion_window parameters on grover_search & friends); the classic
-// per-gate kernels remain the oracle the fused path is checked against.
+// Fusion is explicit: a caller records a FusedCircuit and runs it.
+// StateVector and the algorithm layers (qft, grover_search, teleport, ...)
+// apply gates one by one and never route through this module, so the
+// per-gate kernels are the one production path and the reference the
+// fused path is checked against. This header's users are tests and
+// benches; fusion.cpp reaches the amplitudes through StateVector's
+// friend declaration.
 #pragma once
 
 #include <cstddef>
@@ -35,12 +40,15 @@
 
 namespace qdc::quantum {
 
-/// Default fusion window when a caller opts in without a preference:
-/// 2^5 = 32-amplitude panels. Wide enough to absorb the H / rotation /
-/// CNOT-chain runs the repo's circuits are made of (a Hadamard layer over
-/// n qubits packs into ceil(n/5) passes), small enough that a panel stays
-/// comfortably L1-resident; measured fastest of the
-/// legal windows on the gates workload of bench_quantum_scaling.
+/// Hard cap on a fused-gate window: 2^6 = 64 panel amplitudes, 1 KiB —
+/// sized so a gather panel stays L1-resident.
+inline constexpr int kMaxFusionWindow = 6;
+
+/// Default FusedCircuit window: 2^5 = 32-amplitude panels. Wide enough to
+/// absorb the H / rotation / CNOT-chain runs the repo's circuits are made
+/// of (a Hadamard layer over n qubits packs into ceil(n/5) passes), small
+/// enough that a panel stays comfortably L1-resident; measured fastest of
+/// the legal windows on the gates workload of bench_quantum_scaling.
 inline constexpr int kDefaultFusionWindow = 5;
 
 /// One recorded gate inside a fused window, with qubits resolved to bit
@@ -174,6 +182,13 @@ class FusedCircuit {
     int window = -1;
     std::function<bool(std::size_t)> oracle;
   };
+
+  /// Applies one window in a single cache-blocked pass: gather each
+  /// 2^w-amplitude group into a contiguous panel, replay the window's
+  /// recorded gates inside the panel, scatter back. Bit-identical to
+  /// applying the recorded gates one by one through StateVector::apply /
+  /// apply_controlled.
+  static void apply_window(StateVector& state, const FusedGate& fused);
 
   int open_window(std::vector<int> qubits);
   void expect_recording(const char* fn) const;

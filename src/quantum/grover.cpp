@@ -5,7 +5,6 @@
 #include <numbers>
 #include <vector>
 
-#include "quantum/fusion.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/state.hpp"
 #include "util/expect.hpp"
@@ -28,7 +27,7 @@ int grover_optimal_iterations(std::size_t n_items, std::size_t n_marked) {
 GroverResult grover_search(int num_qubits,
                            const std::function<bool(std::size_t)>& marked,
                            Rng& rng, int iterations,
-                           util::ThreadPool* pool, int fusion_window) {
+                           util::ThreadPool* pool) {
   QDC_EXPECT(num_qubits >= 1 && num_qubits <= kMaxQubits,
              "grover_search: qubit count out of range");
   const std::size_t n = std::size_t{1} << num_qubits;
@@ -54,33 +53,14 @@ GroverResult grover_search(int num_qubits,
   }
 
   StateVector state(num_qubits, pool);
-  state.set_fusion_window(fusion_window);  // validates the window argument
-  if (fusion_window > 0) {
-    // Fused path: one sealed circuit for the init layer and one for the
-    // Grover iteration, built once and replayed. The oracles are fusion
-    // barriers, so each Hadamard layer fuses into ceil(n / w) windows —
-    // the exact kernel keeps this bit-identical to the unfused loop below.
-    FusedCircuit init(num_qubits, fusion_window);
-    for (int q = 0; q < num_qubits; ++q) init.gate(hadamard(), q);
-    init.seal();
-    FusedCircuit step(num_qubits, fusion_window);
-    step.oracle(marked);
-    for (int q = 0; q < num_qubits; ++q) step.gate(hadamard(), q);
-    step.oracle([](std::size_t i) { return i != 0; });
-    for (int q = 0; q < num_qubits; ++q) step.gate(hadamard(), q);
-    step.seal();
-    init.run(state);
-    for (int it = 0; it < iterations; ++it) step.run(state);
-  } else {
+  for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
+  for (int it = 0; it < iterations; ++it) {
+    // Oracle: phase-flip marked items.
+    state.oracle_phase(marked);
+    // Diffusion: reflect about the uniform superposition.
     for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
-    for (int it = 0; it < iterations; ++it) {
-      // Oracle: phase-flip marked items.
-      state.oracle_phase(marked);
-      // Diffusion: reflect about the uniform superposition.
-      for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
-      state.oracle_phase([](std::size_t i) { return i != 0; });
-      for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
-    }
+    state.oracle_phase([](std::size_t i) { return i != 0; });
+    for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
   }
 
   GroverResult result;

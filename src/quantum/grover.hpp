@@ -31,15 +31,11 @@ struct GroverResult {
 /// capped at kMaxQubits — the same limit as the StateVector the search
 /// runs on. `pool` (non-owning; null = serial) shards the statevector
 /// kernels and the oracle/probability scans; results are bit-identical
-/// for every pool (see state.hpp). `fusion_window` = 0 (default) runs the
-/// classic per-gate kernels; w in [2, kMaxFusionWindow] fuses the
-/// Hadamard layers of the init step and the diffusion operator
-/// (quantum/fusion.hpp) — bit-identical results, fewer full-state passes.
+/// for every pool (see state.hpp).
 GroverResult grover_search(int num_qubits,
                            const std::function<bool(std::size_t)>& marked,
                            Rng& rng, int iterations = -1,
-                           util::ThreadPool* pool = nullptr,
-                           int fusion_window = 0);
+                           util::ThreadPool* pool = nullptr);
 
 /// Optimal iteration count for N items of which M are marked (M >= 1).
 int grover_optimal_iterations(std::size_t n_items, std::size_t n_marked);

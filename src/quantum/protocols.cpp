@@ -2,21 +2,12 @@
 
 #include <numbers>
 
-#include "quantum/fusion.hpp"
 #include "quantum/gates.hpp"
 #include "util/expect.hpp"
 
 namespace qdc::quantum {
 
 void make_epr(StateVector& state, int a, int b) {
-  if (state.fusion_window() > 0) {
-    FusedCircuit circuit(state.qubit_count(), state.fusion_window());
-    circuit.gate(hadamard(), a);
-    circuit.cnot(a, b);
-    circuit.seal();
-    circuit.run(state);
-    return;
-  }
   state.apply(hadamard(), a);
   state.cnot(a, b);
 }
@@ -26,16 +17,8 @@ TeleportBits teleport(StateVector& state, int source, int epr_a, int epr_b,
   QDC_EXPECT(source != epr_a && source != epr_b && epr_a != epr_b,
              "teleport: qubits must be distinct");
   // Bell measurement of (source, epr_a).
-  if (state.fusion_window() > 0) {
-    FusedCircuit circuit(state.qubit_count(), state.fusion_window());
-    circuit.cnot(source, epr_a);
-    circuit.gate(hadamard(), source);
-    circuit.seal();
-    circuit.run(state);
-  } else {
-    state.cnot(source, epr_a);
-    state.apply(hadamard(), source);
-  }
+  state.cnot(source, epr_a);
+  state.apply(hadamard(), source);
   TeleportBits bits;
   bits.z = state.measure(source, rng);
   bits.x = state.measure(epr_a, rng);
@@ -46,31 +29,15 @@ TeleportBits teleport(StateVector& state, int source, int epr_a, int epr_b,
 }
 
 std::pair<bool, bool> superdense_roundtrip(bool b0, bool b1, Rng& rng,
-                                           util::ThreadPool* pool,
-                                           int fusion_window) {
+                                           util::ThreadPool* pool) {
   StateVector state(2, pool);
-  state.set_fusion_window(fusion_window);  // validates the window argument
-  if (fusion_window > 0) {
-    // The whole encode/decode sequence touches 2 qubits, so it fuses into
-    // a single window — one pass instead of up to six.
-    FusedCircuit circuit(2, fusion_window);
-    circuit.gate(hadamard(), 0);
-    circuit.cnot(0, 1);  // EPR pair: qubit 0 sender, qubit 1 receiver
-    if (b0) circuit.gate(pauli_z(), 0);
-    if (b1) circuit.gate(pauli_x(), 0);
-    circuit.cnot(0, 1);
-    circuit.gate(hadamard(), 0);
-    circuit.seal();
-    circuit.run(state);
-  } else {
-    make_epr(state, 0, 1);  // qubit 0: sender, qubit 1: receiver
-    // Encode: Z for b0, X for b1 on the sender's half.
-    if (b0) state.apply(pauli_z(), 0);
-    if (b1) state.apply(pauli_x(), 0);
-    // The sender's qubit travels to the receiver, who decodes.
-    state.cnot(0, 1);
-    state.apply(hadamard(), 0);
-  }
+  make_epr(state, 0, 1);  // qubit 0: sender, qubit 1: receiver
+  // Encode: Z for b0, X for b1 on the sender's half.
+  if (b0) state.apply(pauli_z(), 0);
+  if (b1) state.apply(pauli_x(), 0);
+  // The sender's qubit travels to the receiver, who decodes.
+  state.cnot(0, 1);
+  state.apply(hadamard(), 0);
   const bool d0 = state.measure(0, rng);
   const bool d1 = state.measure(1, rng);
   return {d0, d1};

@@ -14,9 +14,7 @@
 namespace qdc::quantum {
 
 /// Entangles qubits a and b of `state` into an EPR pair
-/// (|00> + |11>)/sqrt(2), assuming both are currently |0>. Honors
-/// state.fusion_window(): when nonzero, the H + CNOT pair runs as one
-/// fused pass (quantum/fusion.hpp), bit-identical to the unfused path.
+/// (|00> + |11>)/sqrt(2), assuming both are currently |0>.
 void make_epr(StateVector& state, int a, int b);
 
 /// Teleports the state of qubit `source` onto qubit `target` using the EPR
@@ -28,9 +26,6 @@ struct TeleportBits {
   bool x = false;  ///< from the Bell measurement (X correction)
   bool z = false;  ///< from the Bell measurement (Z correction)
 };
-/// Honors state.fusion_window() for the Bell-measurement prefix (CNOT +
-/// H), like make_epr; the measurement-conditioned corrections stay on the
-/// classic kernels (a single gate gains nothing from fusing).
 TeleportBits teleport(StateVector& state, int source, int epr_a, int epr_b,
                       Rng& rng);
 
@@ -38,12 +33,9 @@ TeleportBits teleport(StateVector& state, int source, int epr_a, int epr_b,
 /// pair and decodes them on the other side. Returns the decoded bits
 /// (always equal to the inputs; exercised as a protocol test). `pool`
 /// (non-owning; null = serial) is forwarded to the internal StateVector —
-/// outcomes are bit-identical for every pool. `fusion_window` = 0 runs
-/// the classic kernels; w in [2, kMaxFusionWindow] fuses the whole
-/// encode/decode sequence into one pass, bit-identical either way.
+/// outcomes are bit-identical for every pool.
 std::pair<bool, bool> superdense_roundtrip(bool b0, bool b1, Rng& rng,
-                                           util::ThreadPool* pool = nullptr,
-                                           int fusion_window = 0);
+                                           util::ThreadPool* pool = nullptr);
 
 /// One CHSH game round played with the optimal entangled strategy
 /// (measurement angles 0, pi/2 for Alice and pi/4, -pi/4 for Bob).

@@ -112,14 +112,6 @@ double StateVector::probability_one(int qubit) const {
   return p;
 }
 
-void StateVector::set_fusion_window(int window) {
-  QDC_EXPECT(window == 0 || (window >= 2 && window <= kMaxFusionWindow),
-             "StateVector::set_fusion_window: window must be 0 (unfused) or "
-             "in [2, kMaxFusionWindow] (window = " +
-                 std::to_string(window) + ")");
-  fusion_window_ = window;
-}
-
 bool StateVector::measure(int qubit, Rng& rng) {
   QDC_EXPECT(qubit >= 0 && qubit < qubit_count_,
              "StateVector::measure: bad qubit");

@@ -42,12 +42,6 @@ namespace qdc::quantum {
 /// (grover_search, deutsch_jozsa_is_constant, bernstein_vazirani).
 inline constexpr int kMaxQubits = 24;
 
-/// Hard cap on a fused-gate window (quantum/fusion.hpp): 2^6 = 64 panel
-/// amplitudes, 1 KiB — sized so a gather panel stays L1-resident. Lives
-/// here (not fusion.hpp) because StateVector::set_fusion_window validates
-/// against it.
-inline constexpr int kMaxFusionWindow = 6;
-
 using Amplitude = std::complex<double>;
 
 /// A 2x2 unitary gate in row-major order: {u00, u01, u10, u11}.
@@ -55,7 +49,6 @@ struct Gate1 {
   Amplitude u00, u01, u10, u11;
 };
 
-class FusedGate;
 struct StateVectorTestAccess;
 
 namespace detail {
@@ -64,9 +57,8 @@ namespace detail {
 /// `bit_pos`: the k-th basis index whose `bit_pos` bit is clear. Gate
 /// kernels enumerate pairs directly through this instead of scanning the
 /// whole range and skipping half of it, so shard workloads are balanced.
-/// Shared by the classic kernels (state.cpp) and the fused ones
-/// (fusion.cpp) — both must pair amplitudes identically for the fused
-/// path's bitwise-identity contract to hold.
+/// Shared by every kernel that enumerates amplitude groups, so that they
+/// all pair amplitudes identically.
 inline std::size_t insert_zero_bit(std::size_t k, int bit_pos) {
   const std::size_t low_mask = (std::size_t{1} << bit_pos) - 1;
   return ((k >> bit_pos) << (bit_pos + 1)) | (k & low_mask);
@@ -107,22 +99,6 @@ class StateVector {
   void cz(int control, int target);
   void swap(int a, int b);
 
-  /// Applies a fused window (quantum/fusion.hpp) in one cache-blocked pass:
-  /// gather each 2^w-amplitude group into a contiguous panel, replay the
-  /// window's recorded gates inside the panel, scatter back. Bit-identical
-  /// to applying the recorded gates one by one through apply /
-  /// apply_controlled — the exact-kernel contract the fused bench and the
-  /// QuantumFusion determinism tests pin. Defined in fusion.cpp.
-  void apply_fused(const FusedGate& fused);
-
-  /// Opt-in knob consulted by the algorithm layers (qft, grover_search,
-  /// make_epr, teleport, ...): 0 (the default) keeps every caller on the
-  /// classic per-gate kernels — the oracle path; w in [2, kMaxFusionWindow]
-  /// asks them to fuse gate runs into windows of up to w qubits. The knob
-  /// changes wall time only, never results (exact-kernel contract above).
-  void set_fusion_window(int window);
-  int fusion_window() const { return fusion_window_; }
-
   /// Phase-flips every basis state whose index satisfies the predicate
   /// (a classical oracle: |x> -> (-1)^{f(x)} |x>). The predicate sees the
   /// full basis index and must be safe to call concurrently when a pool
@@ -161,6 +137,7 @@ class StateVector {
 
  private:
   friend struct StateVectorTestAccess;
+  friend class FusedCircuit;  // its panel kernel writes amplitudes_ in place
 
   /// Executes body(shard, begin, end) over the injected pool (serial when
   /// none): the single dispatch point every kernel goes through. Shard
@@ -201,7 +178,6 @@ class StateVector {
   int qubit_count_;
   std::vector<Amplitude> amplitudes_;
   util::ThreadPool* pool_ = nullptr;  // non-owning; null = serial
-  int fusion_window_ = 0;  // 0 = unfused; see set_fusion_window
 };
 
 }  // namespace qdc::quantum

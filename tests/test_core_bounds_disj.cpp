@@ -2,6 +2,9 @@
 // comparison (classical measured vs quantum accounted).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "comm/problems.hpp"
 #include "core/bounds.hpp"
 #include "core/disjointness.hpp"
@@ -108,6 +111,58 @@ TEST(Disjointness, QuantumWinsOnLargeInputsSmallDiameter) {
   EXPECT_LT(cmp.quantum_rounds, cmp.classical_rounds)
       << "quantum " << cmp.quantum_rounds << " vs classical "
       << cmp.classical_rounds;
+}
+
+TEST(Disjointness, PinnedNumbersAtFixedSeeds) {
+  // Example 1.1 at 6, 10 and 12 qubits. Every figure compare_disjointness
+  // reports is pinned exactly, the success probability bit for bit, so a
+  // change to the round engine or the statevector cannot move one
+  // silently. The inputs are random strings made disjoint, then given
+  // `witnesses` common 1-positions. The constants come from libstdc++'s
+  // <random> distributions, which the C++ standard leaves
+  // implementation-defined.
+  struct Pin {
+    std::size_t b;
+    int witnesses;
+    int diameter;
+    int b_bits;
+    int trials;
+    std::uint64_t seed;
+    int classical_rounds;
+    int grover_queries;
+    double quantum_rounds;
+    bool quantum_answer;
+    std::uint64_t success_probability_bits;
+  };
+  const Pin pins[] = {
+      {64, 2, 6, 4, 3, 64, 28, 4, 54.0, false, 0x3feff94d30ffffabULL},
+      {1024, 3, 4, 2, 3, 1024, 520, 14, 116.0, false, 0x3fefffffbb42102eULL},
+      {4096, 1, 2, 1, 3, 4096, 4100, 50, 202.0, false, 0x3fefff8d61ea678aULL},
+  };
+  for (const Pin& pin : pins) {
+    Rng rng(pin.seed);
+    auto x = BitString::random(pin.b, rng);
+    auto y = BitString::random(pin.b, rng);
+    for (std::size_t i = 0; i < pin.b; ++i) {
+      if (x.get(i)) y.set(i, false);
+    }
+    for (int w = 0; w < pin.witnesses; ++w) {
+      const auto i = static_cast<std::size_t>(
+          uniform_int(rng, 0, static_cast<std::int64_t>(pin.b) - 1));
+      x.set(i, true);
+      y.set(i, true);
+    }
+    const auto cmp = compare_disjointness(x, y, pin.diameter,
+                                          pin.b_bits, pin.trials, rng);
+    EXPECT_FALSE(cmp.truth) << "b " << pin.b;
+    EXPECT_EQ(cmp.classical_rounds, pin.classical_rounds) << "b " << pin.b;
+    EXPECT_EQ(cmp.grover_queries, pin.grover_queries) << "b " << pin.b;
+    EXPECT_EQ(cmp.quantum_rounds, pin.quantum_rounds) << "b " << pin.b;
+    EXPECT_EQ(cmp.quantum_answer, pin.quantum_answer) << "b " << pin.b;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cmp.grover_success_probability),
+              pin.success_probability_bits)
+        << "b " << pin.b;
+  }
 }
 
 TEST(Disjointness, RejectsBadParameters) {

@@ -226,73 +226,34 @@ TEST(QuantumDeterminism, RepeatedPooledRunsAreIdentical) {
 // never arithmetic. The unfused serial run is the single reference each
 // fused run (null, 1, 2 and 4 threads) is compared against.
 
-TEST(QuantumDeterminism, FusedGroverBitIdenticalToUnfusedAcrossPools) {
-  const auto marked = [](std::size_t i) { return i % 97 == 5; };
-  Rng ref_rng(777);
-  const GroverResult reference =
-      grover_search(13, marked, ref_rng, /*iterations=*/-1, nullptr);
-  const auto pools = make_pools();
-  for (std::size_t p = 0; p < pools.size(); ++p) {
-    Rng rng(777);
-    const GroverResult r =
-        grover_search(13, marked, rng, /*iterations=*/-1, pools[p].get(),
-                      kDefaultFusionWindow);
-    EXPECT_EQ(r.found, reference.found) << "pool " << p;
-    EXPECT_EQ(r.is_marked, reference.is_marked) << "pool " << p;
-    EXPECT_EQ(r.iterations, reference.iterations) << "pool " << p;
-    EXPECT_EQ(r.success_probability, reference.success_probability)
-        << "pool " << p;
-  }
-}
-
-TEST(QuantumDeterminism, FusedTeleportationBitIdenticalToUnfusedAcrossPools) {
-  // Same 14-qubit teleportation as above; the fused runs route make_epr
-  // and the teleport Bell prefix through the fused kernels.
-  const auto run = [](util::ThreadPool* pool, int fusion_window,
-                      TeleportBits* bits, StateVector* final_state) {
-    Rng rng(4242);
-    StateVector s(14, pool);
-    s.set_fusion_window(fusion_window);
-    s.apply(ry(0.37), 0);
-    s.apply(rz(1.13), 0);
-    for (int q = 3; q < 14; ++q) s.apply(hadamard(), q);
-    for (int q = 3; q + 1 < 14; ++q) s.cnot(q, q + 1);
-    make_epr(s, 1, 2);
-    *bits = teleport(s, /*source=*/0, /*epr_a=*/1, /*epr_b=*/2, rng);
-    *final_state = s;
-  };
-  TeleportBits ref_bits;
-  StateVector ref_state(1);
-  run(nullptr, /*fusion_window=*/0, &ref_bits, &ref_state);
-  const auto pools = make_pools();
-  for (std::size_t p = 0; p < pools.size(); ++p) {
-    TeleportBits bits;
-    StateVector state(1);
-    run(pools[p].get(), kDefaultFusionWindow, &bits, &state);
-    EXPECT_EQ(bits.x, ref_bits.x) << "pool " << p;
-    EXPECT_EQ(bits.z, ref_bits.z) << "pool " << p;
-    EXPECT_TRUE(bit_identical(state, ref_state)) << "pool " << p;
-  }
-}
-
-/// One gate of the seeded random circuit below.
+/// One operation of the seeded random circuit below.
 struct RandomGate {
-  int kind;      // 0 H, 1 ry, 2 rz, 3 cnot, 4 controlled-T, 5 cz
-  int a;         // target (single) / control (two-qubit)
-  int b;         // second qubit for two-qubit kinds
-  double theta;  // rotation angle for ry/rz
+  int kind;            // 0 H, 1 ry, 2 rz, 3 cnot, 4 controlled-T, 5 cz,
+                       // 6 oracle
+  int a;               // target (single) / control (two-qubit)
+  int b;               // second qubit for two-qubit kinds
+  double theta;        // rotation angle for ry/rz
+  std::uint64_t seed;  // oracle predicate seed
 };
+
+constexpr int kOracleKind = 6;
+
+/// The oracle kind's predicate: marks about one basis index in eight.
+bool oracle_marks(std::uint64_t seed, std::size_t i) {
+  return (splitmix64(seed ^ i) & 7U) == 0;
+}
 
 std::vector<RandomGate> random_gates(int n_qubits, int count, Rng& rng) {
   std::vector<RandomGate> ops;
   ops.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) {
     RandomGate op;
-    op.kind = static_cast<int>(uniform_int(rng, 0, 5));
+    op.kind = static_cast<int>(uniform_int(rng, 0, kOracleKind));
     op.a = static_cast<int>(uniform_int(rng, 0, n_qubits - 1));
     op.b = static_cast<int>(uniform_int(rng, 0, n_qubits - 2));
     if (op.b >= op.a) ++op.b;  // distinct without rejection sampling
     op.theta = 3.0 * uniform_real(rng) - 1.5;
+    op.seed = rng();
     ops.push_back(op);
   }
   return ops;
@@ -305,7 +266,12 @@ void apply_direct(StateVector& s, const RandomGate& op) {
     case 2: s.apply(rz(op.theta), op.a); break;
     case 3: s.cnot(op.a, op.b); break;
     case 4: s.apply_controlled(phase_t(), op.a, op.b); break;
-    default: s.cz(op.a, op.b); break;
+    case 5: s.cz(op.a, op.b); break;
+    default:
+      s.oracle_phase([seed = op.seed](std::size_t i) {
+        return oracle_marks(seed, i);
+      });
+      break;
   }
 }
 
@@ -316,18 +282,30 @@ void record_fused(FusedCircuit& c, const RandomGate& op) {
     case 2: c.gate(rz(op.theta), op.a); break;
     case 3: c.cnot(op.a, op.b); break;
     case 4: c.controlled(phase_t(), op.a, op.b); break;
-    default: c.cz(op.a, op.b); break;
+    case 5: c.cz(op.a, op.b); break;
+    default:
+      c.oracle([seed = op.seed](std::size_t i) {
+        return oracle_marks(seed, i);
+      });
+      break;
   }
 }
 
 TEST(QuantumDeterminism, FusedRandomCircuitBitIdenticalToUnfusedAcrossPools) {
-  // A random 200-gate, 13-qubit circuit (multi-shard state): the unfused
-  // serial application is the reference; the same sequence recorded into a
-  // FusedCircuit must reproduce it bit for bit at every pool size and for
-  // every legal window.
+  // A random 200-operation, 13-qubit circuit (multi-shard state) of gates
+  // and phase oracles: the unfused serial application is the reference;
+  // the same sequence recorded into a FusedCircuit must reproduce it bit
+  // for bit at every pool size and for every legal window. The oracles
+  // are fusion barriers, so this also replays barriers on a sharded state.
   constexpr int kQubits = 13;
+  constexpr int kOps = 200;
   Rng gen(20260809);
-  const std::vector<RandomGate> ops = random_gates(kQubits, 200, gen);
+  const std::vector<RandomGate> ops = random_gates(kQubits, kOps, gen);
+  int oracles = 0;
+  for (const RandomGate& op : ops) {
+    if (op.kind == kOracleKind) ++oracles;
+  }
+  ASSERT_GT(oracles, 0);
 
   StateVector reference(kQubits);
   for (const RandomGate& op : ops) apply_direct(reference, op);
@@ -337,8 +315,11 @@ TEST(QuantumDeterminism, FusedRandomCircuitBitIdenticalToUnfusedAcrossPools) {
     FusedCircuit circuit(kQubits, window);
     for (const RandomGate& op : ops) record_fused(circuit, op);
     circuit.seal();
-    EXPECT_EQ(circuit.recorded_gate_count(), 200) << "window " << window;
-    EXPECT_LT(circuit.window_count(), 200) << "window " << window;
+    EXPECT_EQ(circuit.recorded_gate_count(), kOps - oracles)
+        << "window " << window;
+    EXPECT_EQ(circuit.pass_count(), circuit.window_count() + oracles)
+        << "window " << window;
+    EXPECT_LT(circuit.window_count(), kOps - oracles) << "window " << window;
     for (std::size_t p = 0; p < pools.size(); ++p) {
       StateVector s(kQubits, pools[p].get());
       circuit.run(s);

@@ -1,25 +1,20 @@
 // Tests for the gate-fusion layer (quantum/fusion.hpp): FusedGate gather
-// tables, FusedCircuit packing (frontier joins, commuting-gate hoisting,
-// oracle barriers), the kernel's bit-identity contract, the fused routing
-// of the algorithm layer, and the contract guards on every public entry
-// point. Suite names here (QuantumFusion) are part of the TSan CI
-// regex alongside QuantumDeterminism.
+// tables, FusedCircuit packing (frontier-only joins, window capacity,
+// oracle barriers), the kernel's bit-identity contract, and the contract
+// guards on every public entry point. Suite names here (QuantumFusion) are
+// part of the TSan CI regex alongside QuantumDeterminism.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <complex>
 #include <cstring>
 #include <vector>
 
-#include "quantum/algorithms.hpp"
 #include "quantum/fusion.hpp"
 #include "quantum/gates.hpp"
-#include "quantum/protocols.hpp"
 #include "quantum/state.hpp"
 #include "quantum/testing.hpp"
 #include "util/expect.hpp"
-#include "util/rng.hpp"
 #include "util/shard.hpp"
 #include "util/thread_pool.hpp"
 
@@ -214,50 +209,6 @@ TEST(QuantumFusion, FuseThenCollapseMatchesGateByGateToZeroUlp) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused routing of the algorithm layer
-
-TEST(QuantumFusion, QftHonorsFusionWindowBitIdentically) {
-  for (const int n : {4, 9}) {
-    StateVector reference(n);
-    reference.apply(ry(0.8), 0);
-    reference.cnot(0, n - 1);
-    qft(reference);
-    inverse_qft(reference);
-
-    StateVector fused(n);
-    fused.set_fusion_window(kDefaultFusionWindow);
-    fused.apply(ry(0.8), 0);
-    fused.cnot(0, n - 1);
-    qft(fused);
-    inverse_qft(fused);
-    EXPECT_TRUE(bit_identical(fused, reference)) << "n " << n;
-  }
-}
-
-TEST(QuantumFusion, AlgorithmsMatchUnfusedResults) {
-  const auto balanced = [](std::size_t i) { return (i & 1U) != 0; };
-  EXPECT_EQ(deutsch_jozsa_is_constant(9, balanced, kDefaultFusionWindow),
-            deutsch_jozsa_is_constant(9, balanced));
-  const auto constant = [](std::size_t) { return true; };
-  EXPECT_EQ(deutsch_jozsa_is_constant(9, constant, kDefaultFusionWindow),
-            deutsch_jozsa_is_constant(9, constant));
-  const std::size_t s = 0b101101;
-  const auto dot_s = [s](std::size_t x) {
-    return (std::popcount(x & s) & 1U) != 0;
-  };
-  EXPECT_EQ(bernstein_vazirani(9, dot_s, kDefaultFusionWindow), s);
-  Rng rng_a(55);
-  Rng rng_b(55);
-  for (const bool b0 : {false, true}) {
-    for (const bool b1 : {false, true}) {
-      EXPECT_EQ(superdense_roundtrip(b0, b1, rng_a, nullptr,
-                                     kDefaultFusionWindow),
-                superdense_roundtrip(b0, b1, rng_b));
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Contract guards
 
 TEST(QuantumFusion, RejectsBadWindowsAndQubits) {
@@ -291,18 +242,6 @@ TEST(QuantumFusion, SealAndRunOrderingIsEnforced) {
   EXPECT_THROW(c.run(wrong), ContractError);  // qubit-count mismatch
   c.run(s);                                   // matching state still works
   EXPECT_NEAR(s.norm_squared(), 1.0, 1e-12);
-}
-
-TEST(QuantumFusion, StateVectorGuardsFusionArguments) {
-  StateVector s(3);
-  EXPECT_THROW(s.set_fusion_window(1), ContractError);
-  EXPECT_THROW(s.set_fusion_window(-2), ContractError);
-  EXPECT_THROW(s.set_fusion_window(kMaxFusionWindow + 1), ContractError);
-  s.set_fusion_window(kMaxFusionWindow);
-  s.set_fusion_window(0);  // back to unfused is always legal
-  FusedGate f({5});
-  f.push_gate(hadamard(), 5);
-  EXPECT_THROW(s.apply_fused(f), ContractError);  // qubit 5 of 3
 }
 
 TEST(QuantumFusion, AlignedShardPlanKeepsBlocksWhole) {

@@ -14,13 +14,14 @@ Dispatches on the document's "bench" key:
     "materialized", "path", "lb_network") and "frontier" (whether the run
     used the event-driven wake rule, RunOptions::frontier, instead of
     re-waking every live node each round).
-  * "quantum_scaling" (schema v2, bench_quantum_scaling): statevector
+  * "quantum_scaling" (schema v3, bench_quantum_scaling): statevector
     kernel cases with ops_per_sec results, a per-case payload checksum
     (0x + 16 hex digits — the amplitude-bit fold the bench asserts equal
-    across thread counts), and a Grover sweep section. v2 adds two
-    per-case keys: "variant" ("unfused" or "fused" — which kernel family
-    ran, see src/quantum/fusion.hpp) and "fusion_window" (0 for unfused,
-    else the window size in [2, kMaxFusionWindow]).
+    across thread counts), and a Grover sweep section. Each case carries
+    "variant" ("unfused" or "fused" — which kernel family ran, see
+    src/quantum/fusion.hpp) and "window" (0 for unfused, else the
+    FusedCircuit window in [2, kMaxFusionWindow]). v3 renamed "window"
+    from v2's "fusion_window".
   * "service_throughput" (schema v1, bench_service_throughput):
     end-to-end daemon throughput — fresh-execution cases with
     jobs_per_sec across server worker counts, plus a cache-hit serving
@@ -55,8 +56,8 @@ ERRORS: list[str] = []
 # can carry a wider statevector than the simulator accepts.
 MAX_QUBITS = 24
 
-# Mirrors qdc::quantum::kMaxFusionWindow (src/quantum/state.hpp) and the
-# kernel variants of src/quantum/fusion.hpp.
+# Mirrors qdc::quantum::kMaxFusionWindow and the kernel variants of
+# src/quantum/fusion.hpp.
 MAX_FUSION_WINDOW = 6
 QUANTUM_VARIANTS = ("unfused", "fused")
 
@@ -208,14 +209,14 @@ def check_quantum_case(case: dict, where: str) -> None:
     if variant is not None and variant not in QUANTUM_VARIANTS:
         known = ", ".join(QUANTUM_VARIANTS)
         fail(f"{where}: variant must be one of {known}, got '{variant}'")
-    window = expect_key(case, "fusion_window", int, where)
+    window = expect_key(case, "window", int, where)
     if window is not None and variant is not None:
         if variant == "unfused":
             if window != 0:
-                fail(f"{where}: fusion_window must be 0 for the unfused "
+                fail(f"{where}: window must be 0 for the unfused "
                      f"variant, got {window}")
         elif not 2 <= window <= MAX_FUSION_WINDOW:
-            fail(f"{where}: fusion_window must be in "
+            fail(f"{where}: window must be in "
                  f"[2, {MAX_FUSION_WINDOW}] for fused variants, "
                  f"got {window}")
     qubits = expect_key(case, "qubits", int, where)
@@ -287,7 +288,7 @@ def check_service_sweep(sweep: dict, where: str) -> None:
 
 SCHEMAS = {
     "engine_scaling": (3, check_engine_case, check_engine_sweep),
-    "quantum_scaling": (2, check_quantum_case, check_quantum_sweep),
+    "quantum_scaling": (3, check_quantum_case, check_quantum_sweep),
     "service_throughput": (1, check_service_case, check_service_sweep),
 }
 

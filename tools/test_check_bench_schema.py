@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for tools/check_bench_schema.py (run as CTest lint.bench_schema_unit).
 
-Covers: a valid engine schema-v3 document, a valid quantum schema-v2
+Covers: a valid engine schema-v3 document, a valid quantum schema-v3
 document, a valid service schema-v1 document, missing keys, wrong types,
 value-sanity rules, the v3 topology_kind / frontier case keys, the
 checksum format, the service hit_rate range, the sweep-section rules, and
@@ -63,7 +63,7 @@ def valid_document() -> dict:
 def valid_quantum_document() -> dict:
     return {
         "bench": "quantum_scaling",
-        "schema_version": 2,
+        "schema_version": 3,
         "smoke": False,
         "mode": "full",
         "hardware_threads": 8,
@@ -71,7 +71,7 @@ def valid_quantum_document() -> dict:
             {
                 "name": "gates",
                 "variant": "unfused",
-                "fusion_window": 0,
+                "window": 0,
                 "qubits": 22,
                 "ops": 152,
                 "checksum": "0xb93a75acf3f0d53f",
@@ -248,12 +248,14 @@ class QuantumDocumentTest(unittest.TestCase):
     def test_valid_document_passes(self):
         self.assertEqual(self.check(valid_quantum_document()), [])
 
-    def test_quantum_requires_schema_version_2(self):
-        # v1 documents lack variant/fusion_window; the version bump forces
-        # regeneration rather than silently accepting stale reports.
-        doc = valid_quantum_document()
-        doc["schema_version"] = 1
-        self.assert_violation(doc, "unsupported schema_version 1")
+    def test_quantum_requires_schema_version_3(self):
+        # v1 documents lack variant and the window key, and v2 documents
+        # name it fusion_window; the version bump forces regeneration
+        # rather than silently accepting stale reports.
+        for old in (1, 2):
+            doc = valid_quantum_document()
+            doc["schema_version"] = old
+            self.assert_violation(doc, f"unsupported schema_version {old}")
 
     def test_case_missing_variant(self):
         doc = valid_quantum_document()
@@ -265,29 +267,29 @@ class QuantumDocumentTest(unittest.TestCase):
         doc["cases"][0]["variant"] = "hyperfused"
         self.assert_violation(doc, "variant must be one of")
 
-    def test_case_missing_fusion_window(self):
+    def test_case_missing_window(self):
         doc = valid_quantum_document()
-        del doc["cases"][0]["fusion_window"]
-        self.assert_violation(doc, "missing key 'fusion_window'")
+        del doc["cases"][0]["window"]
+        self.assert_violation(doc, "missing key 'window'")
 
     def test_unfused_case_requires_zero_window(self):
         doc = valid_quantum_document()
-        doc["cases"][0]["fusion_window"] = 4
-        self.assert_violation(doc, "fusion_window must be 0 for the unfused")
+        doc["cases"][0]["window"] = 4
+        self.assert_violation(doc, "window must be 0 for the unfused")
 
     def test_fused_case_passes_with_window_in_range(self):
         doc = valid_quantum_document()
         doc["cases"][0]["name"] = "gates_fused"
         doc["cases"][0]["variant"] = "fused"
-        doc["cases"][0]["fusion_window"] = 5
+        doc["cases"][0]["window"] = 5
         self.assertEqual(self.check(doc), [])
 
     def test_fused_case_window_out_of_range(self):
         for bad in (0, 1, 7):
             doc = valid_quantum_document()
             doc["cases"][0]["variant"] = "fused"
-            doc["cases"][0]["fusion_window"] = bad
-            self.assert_violation(doc, "fusion_window must be in [2, 6]")
+            doc["cases"][0]["window"] = bad
+            self.assert_violation(doc, "window must be in [2, 6]")
 
     def test_missing_checksum(self):
         doc = valid_quantum_document()
@@ -478,7 +480,7 @@ def gate_ready_document(bench: str) -> dict:
             rate_case(doc, "gates_fused", {1: 100.0}),
         ]
         doc["cases"][1]["variant"] = "fused"
-        doc["cases"][1]["fusion_window"] = 5
+        doc["cases"][1]["window"] = 5
     doc["mode"] = "gate"
     doc["hardware_threads"] = 4
     return doc
