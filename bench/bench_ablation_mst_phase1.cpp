@@ -6,8 +6,6 @@
 // quantifies the trade across n and phase-1 target sizes s - the design
 // decision DESIGN.md calls out (run_components defaults to the pipelined
 // variant for exactly this reason).
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "congest/network.hpp"
@@ -16,10 +14,12 @@
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "graph/mst.hpp"
+#include "harness.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace qdc;
+  bench::parse_harness_flags(argc, argv);
   Rng rng(3);
 
   std::printf("=== Ablation: MST phase-1 target size s ===\n\n");
@@ -51,7 +51,5 @@ int main(int argc, char** argv) {
               "log^2 n << n/B; at laptop scales the pipelined variant "
               "dominates, so component-based verifiers use it)\n");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,37 +3,17 @@
 // (search simulated exactly; rounds = oracle queries x 2D + D). The table
 // sweeps the input size b and shows the crossover the paper uses to argue
 // that Disjointness cannot power quantum lower bounds.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "core/bounds.hpp"
 #include "core/disjointness.hpp"
+#include "harness.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
 
-namespace {
-
-using namespace qdc;
-
-void BM_GroverOracleSweep(benchmark::State& state) {
-  const std::size_t b = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  BitString x(b), y(b);
-  x.set(b / 2, true);
-  y.set(b / 2, true);
-  for (auto _ : state) {
-    auto cmp = core::compare_disjointness(x, y, 2, 4, 1, rng);
-    benchmark::DoNotOptimize(cmp.quantum_rounds);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(b));
-}
-BENCHMARK(BM_GroverOracleSweep)->Arg(256)->Arg(1024)->Arg(4096);
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace qdc;
+  bench::parse_harness_flags(argc, argv);
   Rng rng(61);
   const int diameter = 3;
   const int bits = 2;
@@ -71,7 +51,5 @@ int main(int argc, char** argv) {
               "Omega~(b/B) once b >> (BD)^2 - which is why the Simulation "
               "Theorem must avoid Disjointness (Section 1).\n");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

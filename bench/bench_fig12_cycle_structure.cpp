@@ -3,19 +3,19 @@
 // residue 0 yields exactly three cycles (the three tracks close on
 // themselves), residues 1 and 2 yield a single Hamiltonian cycle (the
 // tracks braid into one).
-#include <benchmark/benchmark.h>
-
 #include <array>
 #include <cstdio>
 
 #include "comm/problems.hpp"
 #include "gadgets/ham_gadgets.hpp"
 #include "graph/algorithms.hpp"
+#include "harness.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace qdc;
+  bench::parse_harness_flags(argc, argv);
   Rng rng(53);
 
   std::printf("=== Figure 12: cycle structure vs <x,y> mod 3 ===\n\n");
@@ -47,7 +47,5 @@ int main(int argc, char** argv) {
               "+1 or +2 shift braids all tracks into one Hamiltonian "
               "cycle)\n");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

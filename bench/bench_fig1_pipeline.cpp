@@ -12,8 +12,6 @@
 // 4. Theorem 3.5: the three-party harness on N(Gamma, L) with measured
 //    charged cost per round vs the 6kB bound, and the implied Theorem 3.6
 //    lower bound at the Section 9.1 parameter choice.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "comm/lemma32.hpp"
@@ -25,12 +23,14 @@
 #include "core/simulation.hpp"
 #include "dist/tree.hpp"
 #include "gadgets/ham_gadgets.hpp"
+#include "harness.hpp"
 #include "nonlocal/xor_game.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace qdc;
+  bench::parse_harness_flags(argc, argv);
   Rng rng(17);
 
   std::printf("=== Figure 1 pipeline ===\n\n");
@@ -94,7 +94,5 @@ int main(int argc, char** argv) {
               n, bits, params.length, params.gamma,
               core::verification_lower_bound(n, bits));
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return correct == batch ? 0 : 1;
 }

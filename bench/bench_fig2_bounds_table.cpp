@@ -7,8 +7,6 @@
 // seed (23) in the historical order, the expensive verifier rows run on the
 // sweep harness, and rows print in job-index order — stdout is
 // byte-identical to the pre-harness bench at every --sweep-threads value.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -27,7 +25,7 @@
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  bench::HarnessOptions options = bench::parse_harness_flags(&argc, argv);
+  bench::HarnessOptions options = bench::parse_harness_flags(argc, argv);
   bench::SweepHarness harness("bench_fig2_bounds_table", options);
   Rng rng(23);
 
@@ -110,7 +108,5 @@ int main(int argc, char** argv) {
       });
   for (const std::string& row : code_rows) std::fputs(row.c_str(), stdout);
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

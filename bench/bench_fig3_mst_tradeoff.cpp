@@ -20,8 +20,6 @@
 // sweep job (its own Network, so set_subnetwork never crosses jobs) and
 // rows print in job-index order — stdout is byte-identical to the
 // pre-harness bench at every --sweep-threads value.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <set>
@@ -136,32 +134,12 @@ void run_sweep(bench::SweepHarness& harness, int n, double alpha) {
               crossover);
 }
 
-void BM_ExactMstRounds(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(5);
-  const auto g = graph::random_weighted_aspect(n, 6.0 / n, 64.0, rng);
-  congest::Network net(g, congest::NetworkConfig{.bandwidth = 8});
-  const auto tree = dist::build_bfs_tree(net, 0);
-  dist::MstOptions opt;
-  opt.phase1_target = 1;
-  int rounds = 0;
-  for (auto _ : state) {
-    const auto r = dist::run_mst(net, tree, opt);
-    rounds = r.stats.rounds;
-    benchmark::DoNotOptimize(r.weight);
-  }
-  state.counters["rounds"] = rounds;
-}
-BENCHMARK(BM_ExactMstRounds)->Arg(64)->Arg(128)->Arg(256);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  bench::HarnessOptions options = bench::parse_harness_flags(&argc, argv);
+  bench::HarnessOptions options = bench::parse_harness_flags(argc, argv);
   bench::SweepHarness harness("bench_fig3_mst_tradeoff", options);
   run_sweep(harness, /*n=*/196, /*alpha=*/2.0);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

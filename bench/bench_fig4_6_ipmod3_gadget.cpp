@@ -1,14 +1,14 @@
 // Figures 4-6 (and Lemma 7.2 / C.3): the IPmod3 -> Hamiltonian-cycle
 // gadget. Correctness sweeps (exhaustive for small n, randomized for
-// larger), the structural invariants of Observation 7.1, and a
-// google-benchmark of the reduction's construction throughput.
-#include <benchmark/benchmark.h>
-
+// larger) and the structural invariants of Observation 7.1. The cost of
+// building the gadget is timed by perfbench's paper_grid workload
+// (gadgets.build_s), not here.
 #include <cstdio>
 
 #include "comm/problems.hpp"
 #include "gadgets/ham_gadgets.hpp"
 #include "graph/algorithms.hpp"
+#include "harness.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
 
@@ -66,36 +66,10 @@ void correctness_tables() {
               "edge.)\n\n");
 }
 
-void BM_BuildIpMod3Gadget(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(7);
-  const auto x = BitString::random(n, rng);
-  const auto y = BitString::random(n, rng);
-  for (auto _ : state) {
-    auto owned = gadgets::build_ip_mod3_ham_graph(x, y);
-    benchmark::DoNotOptimize(owned.g.edge_count());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_BuildIpMod3Gadget)->Arg(64)->Arg(1024)->Arg(16384);
-
-void BM_DecideViaHamiltonicity(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  Rng rng(9);
-  const auto x = BitString::random(n, rng);
-  const auto y = BitString::random(n, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gadgets::ip_mod3_nonzero_via_ham(x, y));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_DecideViaHamiltonicity)->Arg(64)->Arg(1024)->Arg(16384);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  bench::parse_harness_flags(argc, argv);
   correctness_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

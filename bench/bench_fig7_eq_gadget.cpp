@@ -2,19 +2,19 @@
 // of the Hamming distance delta (x == y gives one Hamiltonian cycle; delta
 // mismatches give delta + 1 disjoint cycles, i.e. far from Hamiltonian),
 // plus gap-instance sweeps matching the (beta n)-Eq promise.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <numeric>
 
 #include "comm/problems.hpp"
 #include "gadgets/ham_gadgets.hpp"
 #include "graph/algorithms.hpp"
+#include "harness.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
 
 int main(int argc, char** argv) {
   using namespace qdc;
+  bench::parse_harness_flags(argc, argv);
   Rng rng(41);
 
   std::printf("=== Figure 7: Gap-Eq -> Ham gadget ===\n\n");
@@ -66,7 +66,5 @@ int main(int argc, char** argv) {
               "%d)\n",
               far_ok, far_min_cycles);
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

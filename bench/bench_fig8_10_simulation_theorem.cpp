@@ -15,8 +15,6 @@
 // or ablation row runs as one sweep job and rows print in job-index order —
 // stdout is byte-identical to the pre-harness bench at every
 // --sweep-threads value.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -59,7 +57,7 @@ class Saturate : public congest::NodeProgram {
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  bench::HarnessOptions options = bench::parse_harness_flags(&argc, argv);
+  bench::HarnessOptions options = bench::parse_harness_flags(argc, argv);
   bench::SweepHarness harness("bench_fig8_10_simulation_theorem", options);
 
   std::printf("=== Figures 8-10 / Theorem 3.5: N(Gamma, L) and the "
@@ -164,7 +162,5 @@ int main(int argc, char** argv) {
       });
   for (const std::string& row : highway_rows) std::fputs(row.c_str(), stdout);
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -8,13 +8,12 @@
 //    1/2 + 2^-(c+d) / 2 - the quantitative engine of Lemma 3.2: game bias
 //    decays exponentially in protocol cost, so a cheap protocol for a
 //    biased-hard function cannot exist.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "comm/lemma32.hpp"
 #include "comm/problems.hpp"
 #include "comm/server_model.hpp"
+#include "harness.hpp"
 #include "nonlocal/xor_game.hpp"
 #include "quantum/protocols.hpp"
 #include "util/bitstring.hpp"
@@ -22,6 +21,7 @@
 
 int main(int argc, char** argv) {
   using namespace qdc;
+  bench::parse_harness_flags(argc, argv);
   Rng rng(91);
 
   std::printf("=== Lemma 3.2 / Section 6: games from protocols ===\n\n");
@@ -77,7 +77,5 @@ int main(int argc, char** argv) {
   }
   std::printf("(ratios stay below Grothendieck's constant ~1.782)\n");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

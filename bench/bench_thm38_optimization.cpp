@@ -7,8 +7,6 @@
 // seed (83) in the historical (n, W, alpha) grid order, each grid point
 // then runs as one sweep job and rows print in job-index order — stdout is
 // byte-identical to the pre-harness bench at every --sweep-threads value.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,7 +26,7 @@
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  bench::HarnessOptions options = bench::parse_harness_flags(&argc, argv);
+  bench::HarnessOptions options = bench::parse_harness_flags(argc, argv);
   bench::SweepHarness harness("bench_thm38_optimization", options);
   Rng rng(83);
 
@@ -130,7 +128,5 @@ int main(int argc, char** argv) {
               "below the lower envelope even with quantum links and "
               "arbitrary entanglement)\n");
 
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

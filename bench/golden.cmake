@@ -1,0 +1,33 @@
+# Golden checks for the figure benches, run as CTests.
+#   -DBENCH=<exe> -DGOLDEN=<file> -DWORKDIR=<dir>: run BENCH --smoke at 1
+#     and at 4 sweep workers; each stdout must equal GOLDEN byte for byte.
+#   -DBENCH_DIR=<dir> -DNAMES=<a,b,...> -DFLAG=<flag>: each named bench,
+#     given only FLAG, must exit 2 with an error that names FLAG.
+
+if(DEFINED FLAG)
+  string(REPLACE "," ";" names "${NAMES}")
+  foreach(name IN LISTS names)
+    execute_process(COMMAND ${BENCH_DIR}/${name} ${FLAG}
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    string(FIND "${err}" "unknown flag '${FLAG}'" at)
+    if(NOT rc EQUAL 2 OR at EQUAL -1)
+      message(FATAL_ERROR "${name} ${FLAG}: exit ${rc}, expected 2 and an "
+                          "error naming the flag. stderr:\n${err}")
+    endif()
+  endforeach()
+  return()
+endif()
+
+get_filename_component(name ${BENCH} NAME)
+foreach(threads 1 4)
+  set(actual ${WORKDIR}/${name}.t${threads}.txt)
+  execute_process(COMMAND ${BENCH} --smoke --sweep-threads ${threads}
+                  RESULT_VARIABLE rc OUTPUT_FILE ${actual} ERROR_VARIABLE err)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${GOLDEN} ${actual}
+                  RESULT_VARIABLE differs)
+  if(NOT rc EQUAL 0 OR NOT differs EQUAL 0)
+    execute_process(COMMAND diff -u ${GOLDEN} ${actual})
+    message(FATAL_ERROR "${name} --smoke --sweep-threads ${threads}: exit "
+                        "${rc}; stdout ${actual} vs golden ${GOLDEN}\n${err}")
+  endif()
+endforeach()

@@ -17,28 +17,27 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-[[noreturn]] void usage_error(const char* message) {
+[[noreturn]] void usage_error(const std::string& message) {
   std::fprintf(stderr,
                "error: %s\n"
                "shared bench flags:\n"
                "  --sweep-threads N   sweep-level workers (0 = hardware)\n"
                "  --smoke             CI-sized grids\n"
                "  --out PATH          write a JSON timing report\n",
-               message);
+               message.c_str());
   std::exit(2);
 }
 
 }  // namespace
 
-HarnessOptions parse_harness_flags(int* argc, char** argv) {
+HarnessOptions parse_harness_flags(int argc, char** argv) {
   HarnessOptions options;
-  int write = 1;
-  for (int read = 1; read < *argc; ++read) {
-    const std::string arg = argv[read];
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
     if (arg == "--sweep-threads") {
-      if (read + 1 >= *argc) usage_error("--sweep-threads requires a value");
+      if (i + 1 >= argc) usage_error("--sweep-threads requires a value");
       char* end = nullptr;
-      const long value = std::strtol(argv[++read], &end, 10);
+      const long value = std::strtol(argv[++i], &end, 10);
       if (end == nullptr || *end != '\0' || value < 0) {
         usage_error("--sweep-threads wants a non-negative integer");
       }
@@ -46,15 +45,12 @@ HarnessOptions parse_harness_flags(int* argc, char** argv) {
     } else if (arg == "--smoke") {
       options.smoke = true;
     } else if (arg == "--out") {
-      if (read + 1 >= *argc) usage_error("--out requires a path");
-      options.out = argv[++read];
+      if (i + 1 >= argc) usage_error("--out requires a path");
+      options.out = argv[++i];
     } else {
-      // Not ours (e.g. a --benchmark_* flag): keep it for the caller.
-      argv[write++] = argv[read];
+      usage_error("unknown flag '" + arg + "'");
     }
   }
-  *argc = write;
-  argv[write] = nullptr;
   return options;
 }
 
@@ -64,9 +60,7 @@ SweepHarness::SweepHarness(std::string bench_name, HarnessOptions options)
       runner_(util::SweepOptions{.threads = options_.sweep_threads}) {}
 
 SweepHarness::~SweepHarness() {
-  if (!options_.out.empty() && !report_written_) {
-    write_report();
-  }
+  if (!options_.out.empty()) write_report();
 }
 
 void SweepHarness::run_section(
@@ -88,9 +82,7 @@ void SweepHarness::run_section(
   sections_.push_back(std::move(record));
 }
 
-void SweepHarness::write_report() {
-  report_written_ = true;
-  if (options_.out.empty()) return;
+void SweepHarness::write_report() const {
   std::ofstream out(options_.out);
   if (!out) {
     std::fprintf(stderr, "error: cannot write %s\n", options_.out.c_str());

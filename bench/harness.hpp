@@ -1,11 +1,15 @@
 // Shared harness for the figure benches: one flag parser, one sweep entry
 // point, one timing/report format.
 //
+// Every figure bench starts main() with parse_harness_flags(), so all of
+// them accept exactly --sweep-threads N, --smoke and --out PATH and exit(2)
+// on anything else (a serial bench has no sweep section for --sweep-threads
+// or --out to act on). Stdout holds only the paper tables, and
+// bench/golden/ pins each bench's --smoke stdout byte for byte.
+//
 // Every grid-shaped bench follows the same shape:
 //
-//   1. parse_harness_flags() strips the shared flags (--sweep-threads N,
-//      --smoke, --out PATH) out of argv, leaving the rest for
-//      benchmark::Initialize;
+//   1. parse_harness_flags() reads the shared flags;
 //   2. inputs that must reproduce the bench's historical random stream are
 //      generated *serially* with the bench's legacy seed (generation is
 //      cheap; the measured runs are not);
@@ -41,20 +45,19 @@ struct HarnessOptions {
   std::string out;        ///< JSON timing-report path; empty = no report
 };
 
-/// Strips the shared flags from (argc, argv) in place (so the remainder
-/// can go to benchmark::Initialize) and returns them. Prints usage and
-/// exits(2) on a malformed flag value.
-HarnessOptions parse_harness_flags(int* argc, char** argv);
+/// Parses the shared flags. Prints usage and exits(2) on a malformed flag
+/// value or on any argument that is not one of the shared flags.
+HarnessOptions parse_harness_flags(int argc, char** argv);
 
 /// One bench's sweep executor + timing report.
 class SweepHarness {
  public:
   SweepHarness(std::string bench_name, HarnessOptions options);
 
-  /// Writes the JSON report if --out was given and it was not written yet.
+  /// Writes the JSON report if --out was given. Exits(1) if the path
+  /// cannot be written.
   ~SweepHarness();
 
-  const HarnessOptions& options() const { return options_; }
   bool smoke() const { return options_.smoke; }
 
   /// Runs `job_count` independent jobs through the sweep runner, timing
@@ -74,11 +77,9 @@ class SweepHarness {
   void run_section(const std::string& section, int job_count,
                    const std::function<void(const util::SweepJob&)>& job);
 
-  /// Writes the JSON report now (idempotent). Exits(1) if the path cannot
-  /// be written.
-  void write_report();
-
  private:
+  void write_report() const;
+
   struct Section {
     std::string name;
     int jobs = 0;
@@ -90,7 +91,6 @@ class SweepHarness {
   HarnessOptions options_;
   util::SweepRunner runner_;
   std::vector<Section> sections_;
-  bool report_written_ = false;
 };
 
 /// snprintf into a std::string — lets sweep jobs build table rows with the

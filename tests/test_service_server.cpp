@@ -429,35 +429,58 @@ TEST(ServiceServer, AdminCountersConsistentUnderConcurrentClients) {
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 8;
-  std::vector<std::thread> clients;
-  std::atomic<int> failures{0};
-  for (int t = 0; t < kThreads; ++t) {
-    clients.emplace_back([&] {
-      ServiceClient client(server.socket_path());
-      for (int i = 0; i < kPerThread; ++i) {
-        const SubmitResult r = client.submit(census_spec(40));
-        if (r.error != ErrorCode::None ||
-            r.status.state != JobState::Done) {
-          failures.fetch_add(1);
+  constexpr int kSubmits = kThreads * kPerThread;
+  // kThreads concurrent clients submit the same spec kPerThread times
+  // each; returns how many submits failed, or (with must_hit) were not
+  // answered from the cache.
+  const auto submit_concurrently = [&](bool must_hit) {
+    std::vector<std::thread> clients;
+    std::atomic<int> failures{0};
+    for (int t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&] {
+        ServiceClient client(server.socket_path());
+        for (int i = 0; i < kPerThread; ++i) {
+          const SubmitResult r = client.submit(census_spec(40));
+          if (r.error != ErrorCode::None ||
+              r.status.state != JobState::Done ||
+              (must_hit && !r.status.cached)) {
+            failures.fetch_add(1);
+          }
         }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  EXPECT_EQ(failures.load(), 0);
+      });
+    }
+    for (std::thread& t : clients) t.join();
+    return failures.load();
+  };
+
+  // Cold phase: concurrent misses race to fill the cache.
+  EXPECT_EQ(submit_concurrently(/*must_hit=*/false), 0);
 
   ServiceClient client(server.socket_path());
   const AdminResult admin = client.admin();
   ASSERT_EQ(admin.error, ErrorCode::None);
   const AdminStats& s = admin.stats;
-  EXPECT_EQ(s.jobs_submitted, kThreads * kPerThread);
-  EXPECT_EQ(s.cache_hits + s.cache_misses, kThreads * kPerThread);
+  EXPECT_EQ(s.jobs_submitted, kSubmits);
+  EXPECT_EQ(s.cache_hits + s.cache_misses, kSubmits);
   // Every miss was queued and executed exactly once.
   EXPECT_EQ(s.jobs_completed, s.cache_misses);
   EXPECT_GE(s.cache_hits, 1u);  // the repeats did hit
   EXPECT_EQ(s.queue_depth, 0u);
   EXPECT_EQ(s.in_flight, 0u);
   EXPECT_EQ(s.jobs_failed, 0u);
+
+  // Warm phase: the spec is cached now, so the same concurrent load is
+  // served from the cache alone: every submit is a hit, none is a miss,
+  // and nothing more executes.
+  EXPECT_EQ(submit_concurrently(/*must_hit=*/true), 0);
+  const AdminResult warm = client.admin();
+  ASSERT_EQ(warm.error, ErrorCode::None);
+  EXPECT_EQ(warm.stats.jobs_submitted, s.jobs_submitted + kSubmits);
+  EXPECT_EQ(warm.stats.cache_misses, s.cache_misses);
+  EXPECT_EQ(warm.stats.cache_hits, s.cache_hits + kSubmits);
+  EXPECT_EQ(warm.stats.jobs_completed, s.jobs_completed);
+  EXPECT_EQ(warm.stats.queue_depth, 0u);
+  EXPECT_EQ(warm.stats.in_flight, 0u);
   server.stop();
 }
 

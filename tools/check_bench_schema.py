@@ -5,8 +5,8 @@ Usage:
 
     python3 tools/check_bench_schema.py [--gate] REPORT.json [REPORT.json ...]
 
-e.g. BENCH_engine.json, BENCH_quantum.json or BENCH_service.json.
-Dispatches on the document's "bench" key:
+e.g. BENCH_engine.json or BENCH_quantum.json. Dispatches on the
+document's "bench" key:
 
   * "engine_scaling" (schema v3, bench_engine_scaling): topology cases with
     rounds_per_sec results plus the batched-sweep section. v3 adds two
@@ -22,12 +22,8 @@ Dispatches on the document's "bench" key:
     src/quantum/fusion.hpp) and "window" (0 for unfused, else the
     FusedCircuit window in [2, kMaxFusionWindow]). v3 renamed "window"
     from v2's "fusion_window".
-  * "service_throughput" (schema v1, bench_service_throughput):
-    end-to-end daemon throughput — fresh-execution cases with
-    jobs_per_sec across server worker counts, plus a cache-hit serving
-    sweep (requests_per_sec across client counts, hit_rate in [0, 1]).
 
-All share the value-sanity core (positive timings, threads=1 / workers=1
+Both share the value-sanity core (positive timings, threads=1 / workers=1
 baseline present, no duplicate thread counts) so CI catches a bench that
 silently emits garbage.
 
@@ -248,48 +244,9 @@ def check_quantum_sweep(sweep: dict, where: str) -> None:
     check_results(results, f"{where}.results", "workers", "jobs_per_sec")
 
 
-def check_service_case(case: dict, where: str) -> None:
-    expect_key(case, "name", str, where)
-    topology = expect_key(case, "topology", str, where)
-    if topology is not None and not topology:
-        fail(f"{where}: topology must be non-empty")
-    algorithm = expect_key(case, "algorithm", str, where)
-    if algorithm is not None and not algorithm:
-        fail(f"{where}: algorithm must be non-empty")
-    nodes = expect_key(case, "nodes", int, where)
-    jobs = expect_key(case, "jobs", int, where)
-    if nodes is not None and nodes <= 0:
-        fail(f"{where}: nodes must be positive")
-    if jobs is not None and jobs <= 0:
-        fail(f"{where}: jobs must be positive")
-    results = expect_key(case, "results", list, where)
-    if not results:
-        fail(f"{where}: results must be a non-empty list")
-        return
-    check_results(results, f"{where}.results", "workers", "jobs_per_sec")
-
-
-def check_service_sweep(sweep: dict, where: str) -> None:
-    requests = expect_key(sweep, "requests", int, where)
-    payload_bytes = expect_key(sweep, "payload_bytes", int, where)
-    hit_rate = expect_key(sweep, "hit_rate", (int, float), where)
-    if requests is not None and requests <= 0:
-        fail(f"{where}: requests must be positive")
-    if payload_bytes is not None and payload_bytes <= 0:
-        fail(f"{where}: payload_bytes must be positive")
-    if hit_rate is not None and not 0.0 <= hit_rate <= 1.0:
-        fail(f"{where}: hit_rate must be in [0, 1]")
-    results = expect_key(sweep, "results", list, where)
-    if not results:
-        fail(f"{where}: results must be a non-empty list")
-        return
-    check_results(results, f"{where}.results", "clients", "requests_per_sec")
-
-
 SCHEMAS = {
     "engine_scaling": (3, check_engine_case, check_engine_sweep),
     "quantum_scaling": (3, check_quantum_case, check_quantum_sweep),
-    "service_throughput": (1, check_service_case, check_service_sweep),
 }
 
 

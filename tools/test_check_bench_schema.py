@@ -2,12 +2,11 @@
 """Unit tests for tools/check_bench_schema.py (run as CTest lint.bench_schema_unit).
 
 Covers: a valid engine schema-v3 document, a valid quantum schema-v3
-document, a valid service schema-v1 document, missing keys, wrong types,
-value-sanity rules, the v3 topology_kind / frontier case keys, the
-checksum format, the service hit_rate range, the sweep-section rules, and
-pass / regression / skip / missing-case for every row of the speedup-gate
-table — so schema or gate edits cannot silently break the CI validation
-step.
+document, missing keys, wrong types, value-sanity rules, the v3
+topology_kind / frontier case keys, the checksum format, the sweep-section
+rules, and pass / regression / skip / missing-case for every row of the
+speedup-gate table — so schema or gate edits cannot silently break the CI
+validation step.
 """
 
 from __future__ import annotations
@@ -346,109 +345,6 @@ class QuantumDocumentTest(unittest.TestCase):
         with tempfile.NamedTemporaryFile(
                 "w", suffix=".json", delete=False) as f:
             json.dump(valid_quantum_document(), f)
-            path = f.name
-        self.assertEqual(check_bench_schema.main([path]), 0)
-
-
-def valid_service_document() -> dict:
-    return {
-        "bench": "service_throughput",
-        "schema_version": 1,
-        "smoke": False,
-        "mode": "full",
-        "hardware_threads": 8,
-        "cases": [
-            {
-                "name": "census_path",
-                "topology": "path",
-                "algorithm": "census",
-                "nodes": 256,
-                "jobs": 32,
-                "results": [
-                    {"workers": 1, "seconds": 2.0,
-                     "jobs_per_sec": 16.0, "speedup": 1.0},
-                    {"workers": 4, "seconds": 0.6,
-                     "jobs_per_sec": 53.3, "speedup": 3.3},
-                ],
-            }
-        ],
-        "sweep": {
-            "requests": 512,
-            "payload_bytes": 68,
-            "hit_rate": 0.998,
-            "results": [
-                {"clients": 1, "seconds": 0.01,
-                 "requests_per_sec": 51200.0, "speedup": 1.0},
-                {"clients": 4, "seconds": 0.005,
-                 "requests_per_sec": 102400.0, "speedup": 2.0},
-            ],
-        },
-    }
-
-
-class ServiceDocumentTest(unittest.TestCase):
-    def check(self, doc) -> list[str]:
-        return check_bench_schema.check_document(doc)
-
-    def assert_violation(self, doc, fragment: str) -> None:
-        errors = self.check(doc)
-        self.assertTrue(any(fragment in e for e in errors),
-                        f"expected violation containing {fragment!r}, "
-                        f"got {errors}")
-
-    def test_valid_document_passes(self):
-        self.assertEqual(self.check(valid_service_document()), [])
-
-    def test_service_requires_schema_version_1(self):
-        doc = valid_service_document()
-        doc["schema_version"] = 2
-        self.assert_violation(doc, "unsupported schema_version 2")
-
-    def test_case_requires_algorithm(self):
-        doc = valid_service_document()
-        del doc["cases"][0]["algorithm"]
-        self.assert_violation(doc, "missing key 'algorithm'")
-
-    def test_case_empty_topology(self):
-        doc = valid_service_document()
-        doc["cases"][0]["topology"] = ""
-        self.assert_violation(doc, "topology must be non-empty")
-
-    def test_case_nonpositive_jobs(self):
-        doc = valid_service_document()
-        doc["cases"][0]["jobs"] = 0
-        self.assert_violation(doc, "jobs must be positive")
-
-    def test_case_missing_workers_baseline(self):
-        doc = valid_service_document()
-        doc["cases"][0]["results"] = [
-            {"workers": 2, "seconds": 1.0,
-             "jobs_per_sec": 32.0, "speedup": 2.0}]
-        self.assert_violation(doc, "no workers=1 baseline")
-
-    def test_sweep_hit_rate_range(self):
-        doc = valid_service_document()
-        doc["sweep"]["hit_rate"] = 1.5
-        self.assert_violation(doc, "hit_rate must be in [0, 1]")
-
-    def test_sweep_nonpositive_payload(self):
-        doc = valid_service_document()
-        doc["sweep"]["payload_bytes"] = 0
-        self.assert_violation(doc, "payload_bytes must be positive")
-
-    def test_sweep_missing_clients_baseline(self):
-        doc = valid_service_document()
-        doc["sweep"]["results"] = [
-            {"clients": 2, "seconds": 0.01,
-             "requests_per_sec": 100.0, "speedup": 1.0}]
-        self.assert_violation(doc, "no clients=1 baseline")
-
-    def test_main_accepts_valid_service_file(self):
-        import json
-        import tempfile
-        with tempfile.NamedTemporaryFile(
-                "w", suffix=".json", delete=False) as f:
-            json.dump(valid_service_document(), f)
             path = f.name
         self.assertEqual(check_bench_schema.main([path]), 0)
 
