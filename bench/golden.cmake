@@ -3,16 +3,30 @@
 #     and at 4 sweep workers; each stdout must equal GOLDEN byte for byte.
 #   -DBENCH_DIR=<dir> -DNAMES=<a,b,...> -DFLAG=<flag>: each named bench,
 #     given only FLAG, must exit 2 with an error that names FLAG.
+#   ... -DVALUES=<v1,v2,...>: each named bench, given --smoke FLAG v for
+#     each value v, must exit 2 with an error that names FLAG.
+
+function(expect_usage_error name expect)
+  execute_process(COMMAND ${BENCH_DIR}/${name} ${ARGN}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  string(FIND "${err}" "${expect}" at)
+  if(NOT rc EQUAL 2 OR at EQUAL -1)
+    list(JOIN ARGN " " args)
+    message(FATAL_ERROR "${name} ${args}: exit ${rc}, expected 2 and an "
+                        "error containing \"${expect}\". stderr:\n${err}")
+  endif()
+endfunction()
 
 if(DEFINED FLAG)
   string(REPLACE "," ";" names "${NAMES}")
+  string(REPLACE "," ";" values "${VALUES}")
   foreach(name IN LISTS names)
-    execute_process(COMMAND ${BENCH_DIR}/${name} ${FLAG}
-                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-    string(FIND "${err}" "unknown flag '${FLAG}'" at)
-    if(NOT rc EQUAL 2 OR at EQUAL -1)
-      message(FATAL_ERROR "${name} ${FLAG}: exit ${rc}, expected 2 and an "
-                          "error naming the flag. stderr:\n${err}")
+    if(DEFINED VALUES)
+      foreach(value IN LISTS values)
+        expect_usage_error(${name} "${FLAG} wants" --smoke ${FLAG} ${value})
+      endforeach()
+    else()
+      expect_usage_error(${name} "unknown flag '${FLAG}'" ${FLAG})
     endif()
   endforeach()
   return()

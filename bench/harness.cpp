@@ -1,9 +1,11 @@
 #include "harness.hpp"
 
+#include <cerrno>
+#include <chrono>
+#include <climits>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <chrono>
 #include <fstream>
 #include <utility>
 
@@ -37,9 +39,12 @@ HarnessOptions parse_harness_flags(int argc, char** argv) {
     if (arg == "--sweep-threads") {
       if (i + 1 >= argc) usage_error("--sweep-threads requires a value");
       char* end = nullptr;
+      errno = 0;
       const long value = std::strtol(argv[++i], &end, 10);
-      if (end == nullptr || *end != '\0' || value < 0) {
-        usage_error("--sweep-threads wants a non-negative integer");
+      if (end == nullptr || *end != '\0' || value < 0 || errno == ERANGE ||
+          value > INT_MAX) {
+        usage_error("--sweep-threads wants an integer in [0, " +
+                    std::to_string(INT_MAX) + "]");
       }
       options.sweep_threads = static_cast<int>(value);
     } else if (arg == "--smoke") {

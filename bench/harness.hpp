@@ -45,8 +45,9 @@ struct HarnessOptions {
   std::string out;        ///< JSON timing-report path; empty = no report
 };
 
-/// Parses the shared flags. Prints usage and exits(2) on a malformed flag
-/// value or on any argument that is not one of the shared flags.
+/// Parses the shared flags. Prints usage and exits(2) on a malformed or
+/// out-of-range flag value or on any argument that is not one of the
+/// shared flags.
 HarnessOptions parse_harness_flags(int argc, char** argv);
 
 /// One bench's sweep executor + timing report.

@@ -14,13 +14,6 @@ SymmetricFunction SymmetricFunction::or_n(std::size_t n) {
   return f;
 }
 
-SymmetricFunction SymmetricFunction::and_n(std::size_t n) {
-  SymmetricFunction f;
-  f.profile.assign(n + 1, 0);
-  f.profile[n] = 1;
-  return f;
-}
-
 SymmetricFunction SymmetricFunction::majority(std::size_t n) {
   SymmetricFunction f;
   f.profile.assign(n + 1, 0);

@@ -21,7 +21,6 @@ struct SymmetricFunction {
   std::size_t n() const { return profile.size() - 1; }
 
   static SymmetricFunction or_n(std::size_t n);
-  static SymmetricFunction and_n(std::size_t n);
   static SymmetricFunction majority(std::size_t n);
   static SymmetricFunction parity(std::size_t n);
   /// [sum mod m == r]

@@ -28,12 +28,6 @@ double optimization_lower_bound(int n, double b_bits, double aspect_ratio,
   return branch / std::sqrt(b_bits * log2n(n));
 }
 
-double mst_upper_envelope(int n, double aspect_ratio, double alpha,
-                          int diameter) {
-  const double branch = std::min(aspect_ratio / alpha, std::sqrt(double(n)));
-  return branch + diameter;
-}
-
 double figure3_crossover_aspect(int n, double alpha) {
   return alpha * std::sqrt(double(n));
 }

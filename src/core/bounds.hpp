@@ -25,11 +25,6 @@ double verification_lower_bound(int n, double b_bits);
 double optimization_lower_bound(int n, double b_bits, double aspect_ratio,
                                 double alpha);
 
-/// The matching upper envelope min(W/alpha, sqrt(n)) + D (Elkin's O(W/alpha)
-/// approximation combined with Kutten-Peleg / GKP exact MST).
-double mst_upper_envelope(int n, double aspect_ratio, double alpha,
-                          int diameter);
-
 /// Figure 3's crossover: the weight aspect ratio where the W/alpha branch
 /// meets the sqrt(n) branch, W* = alpha sqrt(n).
 double figure3_crossover_aspect(int n, double alpha);

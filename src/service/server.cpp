@@ -62,10 +62,12 @@ void ExperimentServer::stop() {
   if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
 
   // 2. Stop accepting; then wake every connection handler out of its
-  //    blocking read so the threads can be joined.
+  //    blocking read so the threads can be joined. shutdown() wakes the
+  //    accept thread; the listener fd is closed only after that thread is
+  //    joined, since it reads the fd until then.
   shutdown_socket(listener_);
-  listener_.reset();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.reset();
 
   std::lock_guard<std::mutex> lock(conn_mutex_);
   for (const auto& slot : connections_) shutdown_socket(slot->fd);

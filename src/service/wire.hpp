@@ -15,7 +15,7 @@
 // frame and reads exactly one response frame before sending the next.
 // docs/SERVICE.md is the normative spec (frame layout, payload of every
 // message type, error codes, versioning rules); this header and that
-// document must change together — qdc_lint's service doc-drift rule
+// document must change together — qdc_analyze's lint/doc-drift rule
 // fails when a MessageType enumerator has no SERVICE.md section.
 //
 // Decoding is defensive: readers never trust a length field. WireReader

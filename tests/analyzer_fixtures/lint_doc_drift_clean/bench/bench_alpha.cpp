@@ -1,0 +1,2 @@
+// FIXTURE: documented in both experiment docs.
+int main() { return 0; }

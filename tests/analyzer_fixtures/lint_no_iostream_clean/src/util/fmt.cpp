@@ -1,0 +1,22 @@
+// FIXTURE: formatting into a caller's stream or buffer is not console
+// I/O; std::cout in a comment and printf( in a string are not either.
+#include <cstddef>
+#include <cstdint>
+#include <ostream>
+
+namespace qdc::util {
+
+void write_value(std::ostream& os, std::int64_t v) { os << v; }
+
+const char* hint() { return "call printf(...) in a bench instead"; }
+
+std::size_t digits(std::int64_t v) {
+  std::size_t n = 1;
+  while (v >= 10) {
+    v /= 10;
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace qdc::util

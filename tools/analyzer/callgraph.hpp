@@ -22,8 +22,7 @@
 //     dispatch, submit, parallel_for, try_run, method-form .run),
 //     shared by parallel/ and flow/.
 //
-// The graph is read-only after construction, so the --jobs fan-out can
-// consult it from every worker without locks.
+// The graph is read-only after construction.
 #pragma once
 
 #include <cstddef>

@@ -6,11 +6,11 @@
 namespace qdc::analyze {
 
 void sort_diagnostics(std::vector<Diagnostic>& diags) {
-  std::sort(diags.begin(), diags.end(),
-            [](const Diagnostic& a, const Diagnostic& b) {
-              return std::tie(a.file, a.line, a.rule, a.detail) <
-                     std::tie(b.file, b.line, b.rule, b.detail);
-            });
+  std::stable_sort(diags.begin(), diags.end(),
+                   [](const Diagnostic& a, const Diagnostic& b) {
+                     return std::tie(a.file, a.line, a.rule, a.detail) <
+                            std::tie(b.file, b.line, b.rule, b.detail);
+                   });
 }
 
 namespace {

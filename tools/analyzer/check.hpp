@@ -1,18 +1,18 @@
 // Check interface and registry for qdc_analyze.
 //
 // A check is a stateless object that inspects the corpus and emits
-// diagnostics. File-scoped work goes in run_file (called once per file;
-// the --jobs driver fans these calls out across worker threads, so they
-// must only read the AnalysisContext); whole-corpus work goes in
-// run_corpus (called once, serially). Checks self-register through
-// QDC_ANALYZE_REGISTER so adding one is: write a .cpp in tools/analyzer/,
-// register it, list it in the CMake target, add a firing + clean fixture
-// under tests/analyzer_fixtures.
+// diagnostics. File-scoped work goes in run_file (called once per file);
+// whole-corpus work goes in run_corpus (called once, after every
+// run_file). Both only read the AnalysisContext. Checks self-register
+// through QDC_ANALYZE_REGISTER so adding one is: write a .cpp in
+// tools/analyzer/, register it, list it in the CMake target, add a
+// firing + clean fixture under tests/analyzer_fixtures.
 #pragma once
 
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "callgraph.hpp"
@@ -35,15 +35,16 @@ struct Diagnostic {
   std::string family() const { return rule.substr(0, rule.find('/')); }
 };
 
-/// Sort by (file, line, rule, detail) for deterministic reports.
+/// Sort by (file, line, rule, detail) for deterministic reports; ties keep
+/// the order the checks emitted them in.
 void sort_diagnostics(std::vector<Diagnostic>& diags);
 
-/// Everything a check may consult: the corpus, per-file symbol maps, and
-/// the cross-TU call graph. Built once, read-only afterward — the --jobs
-/// fan-out shares one context across workers without locks.
+/// Everything a check may consult: the analysis root, the corpus, per-file
+/// symbol maps, and the cross-TU call graph. Built once, read-only
+/// afterward.
 struct AnalysisContext {
-  explicit AnalysisContext(const std::vector<SourceFile>& corpus)
-      : files(&corpus), graph_(corpus) {
+  AnalysisContext(std::string root_dir, const std::vector<SourceFile>& corpus)
+      : root(std::move(root_dir)), files(&corpus), graph_(corpus) {
     for (const SourceFile& f : corpus) {
       index_.emplace(f.rel, &f);
       std::set<std::string> syms = f.symbols().namespace_decls;
@@ -54,6 +55,9 @@ struct AnalysisContext {
     }
   }
 
+  /// Repository root the corpus was loaded from; checks that read files
+  /// outside the corpus (Markdown docs) resolve them against it.
+  std::string root;
   const std::vector<SourceFile>* files = nullptr;
 
   /// rel path -> file, via an index built once at construction (the corpus
@@ -101,9 +105,7 @@ class Check {
   virtual const char* description() const = 0;  ///< one line, for --list-checks
   virtual std::vector<RuleMeta> rules() const = 0;  ///< all rule ids + summaries
 
-  /// Per-file analysis. MUST be safe to call concurrently for different
-  /// files (read ctx, write only `out`); the parallel driver merges the
-  /// per-file outputs in corpus order before sorting.
+  /// Per-file analysis (read ctx, write only `out`).
   virtual void run_file(const AnalysisContext& ctx, const SourceFile& file,
                         std::vector<Diagnostic>& out) const {
     (void)ctx;
@@ -111,7 +113,7 @@ class Check {
     (void)out;
   }
 
-  /// Whole-corpus analysis (cycles, cross-file aggregation). Serial.
+  /// Whole-corpus analysis (cycles, cross-file aggregation, docs).
   virtual void run_corpus(const AnalysisContext& ctx,
                           std::vector<Diagnostic>& out) const {
     (void)ctx;

@@ -65,7 +65,7 @@ class IncludeHygieneCheck final : public Check {
   void run_file(const AnalysisContext& ctx, const SourceFile& f,
                 std::vector<Diagnostic>& out) const override {
     // Per-file symbol sets and the headers-declaring counts live on the
-    // context (built once, shared read-only by every worker).
+    // context (built once, read-only).
     std::string own_header;
     if (!f.is_header)
       own_header = f.rel.substr(0, f.rel.size() - 4) + ".hpp";

@@ -1,57 +1,39 @@
 // qdc_analyze — compile-time enforcement of the invariants the runtime
 // ModelAuditor / EngineDeterminism suite can only sample: module layering,
 // determinism hazards, include hygiene, parallel-safety, contract coverage,
-// and their interprocedural closures (flow/). See tools/analyzer/README.md.
+// their interprocedural closures (flow/), and the repo's lint conventions.
+// See tools/analyzer/README.md.
 //
 // Usage:
-//   qdc_analyze --root DIR [--also REL]... [--also-dir DIR]...
-//               [--family NAME]... [--baseline FILE]
-//               [--format text|sarif|lite] [--out FILE] [--show-baselined]
-//               [--stats] [--jobs N] [--cache-dir DIR]
-//               [--min-cache-hit-rate F] [--write-baseline FILE]
+//   qdc_analyze --root DIR [--family NAME]... [--baseline FILE]
+//               [--format text|sarif] [--out FILE] [--show-baselined]
+//               [--stats] [--write-baseline FILE]
 //   qdc_analyze --root DIR --dump-callgraph
 //   qdc_analyze --list-checks
 //   qdc_analyze --selftest FIXTURE_DIR
-//   qdc_analyze --selftest-cache FIXTURE_ROOT
 //
-// --also (repeatable) adds files outside src/ to the corpus; --also-dir
-// (repeatable) adds every *.hpp|*.cpp directly under a directory — CI uses
-// `--also-dir bench --also-dir tests`. Extra files have no module, so the
+// The corpus is fixed: src/ recursively plus the top level of bench/ and
+// tests/ (see load_corpus). Files outside src/ have no module, so the
 // module-scoped checks (layering, determinism, parallel, contract) skip
-// them; include hygiene and flow/shared-write-escape still apply.
+// them; include hygiene, flow and lint still apply.
 //
 // --family (repeatable) restricts the run to the named check families.
 //
-// --jobs N fans the per-file phases (loading/lexing and every
-// Check::run_file) out across N worker threads. Reports are byte-identical
-// at any job count: per-file outputs merge in corpus order and the final
-// sort is a total order. Corpus-level checks (layering) stay serial.
-//
-// --cache-dir DIR enables the incremental lex cache: per-file entries
-// keyed by content hash, so a warm run re-lexes only changed files.
-// --min-cache-hit-rate F (0..1) fails the run when the observed hit rate
-// is below F — CI's warm-run regression gate.
-//
-// --stats prints per-phase wall time, cache hit rate, per-check CPU time
-// and per-family diagnostic counts to stderr (never into --out, which must
-// stay byte-comparable across runs). Timing lives here in the harness: the
-// wall-clock ban (determinism/wall-clock, qdc_lint no-raw-random) covers
-// src/, not tools/.
+// --stats prints per-phase wall time, per-check time and per-family
+// diagnostic counts to stderr (never into --out). Timing lives here in the
+// harness: the wall-clock ban (determinism/wall-clock) covers src/, not
+// tools/.
 //
 // --dump-callgraph prints the deterministic CallGraph::dump() of the
 // corpus and exits; the call-graph fixtures golden-test this output.
 //
 // --selftest runs the golden fixtures (expected.txt per fixture dir, plus
-// optional expected_callgraph.txt and baseline.txt). --selftest-cache
-// copies a fixture tree to a temp dir and proves the cache contract:
-// cold run misses everything, warm run hits everything byte-identically,
-// editing one file re-lexes exactly that file and matches a fresh run.
+// optional expected_callgraph.txt and baseline.txt).
 //
 // Exit codes: 0 clean (every diagnostic baselined), 1 new diagnostics (or
-// a failed selftest / hit-rate gate), 2 usage / IO error.
+// a failed selftest), 2 usage / IO error.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdio>
@@ -59,15 +41,11 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <mutex>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "baseline.hpp"
-#include "cache.hpp"
 #include "check.hpp"
 #include "report.hpp"
 #include "source.hpp"
@@ -77,26 +55,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct AnalyzeOptions {
-  std::string root;
-  std::vector<std::string> also;
-  std::vector<std::string> also_dirs;
-  std::vector<std::string> families;
-  int jobs = 1;
-  std::string cache_dir;  ///< "" disables the incremental cache
-};
-
 struct CheckStats {
   std::string check;
-  double millis = 0.0;  ///< CPU time summed across workers
+  double millis = 0.0;
   std::size_t emitted = 0;
 };
 
 struct PhaseStats {
-  double load_ms = 0.0;    ///< discovery + read + hash + lex/rehydrate
+  double load_ms = 0.0;    ///< discovery + read + lex
   double graph_ms = 0.0;   ///< AnalysisContext (symbol index + call graph)
-  double checks_ms = 0.0;  ///< run_file fan-out + serial run_corpus
-  CacheStats cache;
+  double checks_ms = 0.0;  ///< every check's run_file and run_corpus
   std::vector<CheckStats> checks;
 };
 
@@ -120,124 +88,29 @@ std::vector<const Check*> enabled_checks(
   return checks;
 }
 
-/// fn(i) for every i in [0, n), fanned out over `jobs` worker threads.
-/// fn must be safe to call concurrently for different indices. The first
-/// exception a worker throws is rethrown on the calling thread.
-void parallel_for_indices(std::size_t n, int jobs,
-                          const std::function<void(std::size_t)>& fn) {
-  if (jobs <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  std::atomic<std::size_t> next{0};
-  std::mutex err_mu;
-  std::string err;
-  auto work = [&] {
-    std::size_t i = 0;
-    while ((i = next.fetch_add(1)) < n) {
-      try {
-        fn(i);
-      } catch (const std::exception& e) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (err.empty()) err = e.what();
-      }
-    }
-  };
-  std::size_t threads =
-      std::min(static_cast<std::size_t>(jobs), n);
-  std::vector<std::thread> pool;
-  pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(work);
-  for (std::thread& t : pool) t.join();
-  if (!err.empty()) throw std::runtime_error(err);
-}
-
-/// Discovery + read + (cached) lex of the corpus, parallel over files.
-std::vector<SourceFile> load_corpus_cached(const AnalyzeOptions& opts,
-                                           PhaseStats* stats) {
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<CorpusEntry> entries =
-      list_corpus(opts.root, opts.also, opts.also_dirs);
-  std::vector<SourceFile> files(entries.size());
-  std::atomic<std::size_t> hits{0};
-  std::atomic<std::size_t> misses{0};
-  parallel_for_indices(
-      entries.size(), opts.jobs, [&](std::size_t i) {
-        const CorpusEntry& e = entries[i];
-        std::string text = read_file_text(e.path);
-        if (opts.cache_dir.empty()) {
-          files[i] = lex_file(e.rel, text);
-          return;
-        }
-        std::uint64_t hash = fnv1a64(text);
-        LexCache cache;
-        if (load_cache_entry(opts.cache_dir, e.rel, hash, &cache)) {
-          hits.fetch_add(1);
-          files[i] = rehydrate_file(e.rel, text, std::move(cache));
-        } else {
-          misses.fetch_add(1);
-          files[i] = lex_file(e.rel, text);
-          store_cache_entry(opts.cache_dir, e.rel, hash,
-                            extract_lex_cache(files[i]));
-        }
-      });
-  if (stats != nullptr) {
-    stats->cache.hits = hits.load();
-    stats->cache.misses = misses.load();
-    stats->load_ms = ms_since(t0);
-  }
-  return files;
-}
-
-std::vector<Diagnostic> analyze(const AnalyzeOptions& opts,
+std::vector<Diagnostic> analyze(const std::string& root,
+                                const std::vector<std::string>& families,
                                 PhaseStats* stats = nullptr) {
-  std::vector<SourceFile> files = load_corpus_cached(opts, stats);
+  auto t_load = std::chrono::steady_clock::now();
+  std::vector<SourceFile> files = load_corpus(root);
+  if (stats != nullptr) stats->load_ms = ms_since(t_load);
 
   auto t_graph = std::chrono::steady_clock::now();
-  AnalysisContext ctx(files);
+  AnalysisContext ctx(root, files);
   if (stats != nullptr) stats->graph_ms = ms_since(t_graph);
 
   auto t_checks = std::chrono::steady_clock::now();
-  std::vector<const Check*> checks = enabled_checks(opts.families);
-  std::vector<double> check_ms(checks.size(), 0.0);
-  std::vector<std::size_t> check_emitted(checks.size(), 0);
-  std::mutex stats_mu;
-
-  // Per-file fan-out: each file gets its own output slot, merged in corpus
-  // order below, so the report is byte-identical at any --jobs value.
-  std::vector<std::vector<Diagnostic>> slots(files.size());
-  parallel_for_indices(files.size(), opts.jobs, [&](std::size_t i) {
-    for (std::size_t ci = 0; ci < checks.size(); ++ci) {
-      auto t0 = std::chrono::steady_clock::now();
-      std::size_t before = slots[i].size();
-      checks[ci]->run_file(ctx, files[i], slots[i]);
-      double ms = ms_since(t0);
-      std::lock_guard<std::mutex> lock(stats_mu);
-      check_ms[ci] += ms;
-      check_emitted[ci] += slots[i].size() - before;
-    }
-  });
-
   std::vector<Diagnostic> diags;
-  for (std::vector<Diagnostic>& slot : slots)
-    diags.insert(diags.end(), std::make_move_iterator(slot.begin()),
-                 std::make_move_iterator(slot.end()));
-
-  // Corpus-level passes are serial by contract.
-  for (std::size_t ci = 0; ci < checks.size(); ++ci) {
+  for (const Check* check : enabled_checks(families)) {
     auto t0 = std::chrono::steady_clock::now();
     std::size_t before = diags.size();
-    checks[ci]->run_corpus(ctx, diags);
-    check_ms[ci] += ms_since(t0);
-    check_emitted[ci] += diags.size() - before;
-  }
-
-  if (stats != nullptr) {
-    stats->checks_ms = ms_since(t_checks);
-    for (std::size_t ci = 0; ci < checks.size(); ++ci)
+    for (const SourceFile& f : files) check->run_file(ctx, f, diags);
+    check->run_corpus(ctx, diags);
+    if (stats != nullptr)
       stats->checks.push_back(
-          {checks[ci]->name(), check_ms[ci], check_emitted[ci]});
+          {check->name(), ms_since(t0), diags.size() - before});
   }
+  if (stats != nullptr) stats->checks_ms = ms_since(t_checks);
   sort_diagnostics(diags);
   return diags;
 }
@@ -250,13 +123,6 @@ std::vector<RuleMeta> enabled_rules(const std::vector<std::string>& families) {
     rules.insert(rules.end(), r.begin(), r.end());
   }
   return rules;
-}
-
-std::string read_text_file_or_empty(const fs::path& p) {
-  std::ifstream in(p);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 int run_selftest(const std::string& fixtures_dir) {
@@ -292,14 +158,12 @@ int run_selftest(const std::string& fixtures_dir) {
         // A fixture may ship its own baseline.txt; this is how the
         // suppression path itself gets golden-tested.
         Baseline baseline = load_baseline((dir / "baseline.txt").string());
-        AnalyzeOptions opts;
-        opts.root = dir.string();
-        got = render_text(analyze(opts), baseline, false);
+        got = render_text(analyze(dir.string(), {}), baseline, false);
       } catch (const std::exception& e) {
         got = std::string("error: ") + e.what() + "\n";
       }
-      compare(dir, "diagnostics", read_text_file_or_empty(dir / "expected.txt"),
-              got);
+      compare(dir, "diagnostics",
+              read_file_text((dir / "expected.txt").string()), got);
     }
     if (fs::exists(dir / "expected_callgraph.txt")) {
       std::string got;
@@ -310,7 +174,7 @@ int run_selftest(const std::string& fixtures_dir) {
         got = std::string("error: ") + e.what() + "\n";
       }
       compare(dir, "callgraph",
-              read_text_file_or_empty(dir / "expected_callgraph.txt"), got);
+              read_file_text((dir / "expected_callgraph.txt").string()), got);
     }
   }
   std::cout << (failures == 0 ? "all" : "some") << " fixture checks done, "
@@ -318,74 +182,15 @@ int run_selftest(const std::string& fixtures_dir) {
   return failures == 0 ? 0 : 1;
 }
 
-/// Cache-contract selftest: cold run misses everything, warm run hits
-/// everything and renders byte-identically, editing one file re-lexes
-/// exactly that file and matches a from-scratch run of the edited tree.
-int run_selftest_cache(const std::string& fixture_root) {
-  fs::path tmp = fs::temp_directory_path() / "qdc-analyze-cache-selftest";
-  std::error_code ec;
-  fs::remove_all(tmp, ec);
-  fs::create_directories(tmp);
-  fs::copy(fixture_root, tmp, fs::copy_options::recursive);
-  std::string cache_dir = (tmp / ".lexcache").string();
-
-  auto run = [&](bool cached, PhaseStats* ps) {
-    AnalyzeOptions opts;
-    opts.root = tmp.string();
-    opts.jobs = 2;
-    if (cached) opts.cache_dir = cache_dir;
-    return analyze(opts, ps);
-  };
-  Baseline no_baseline;
-  std::size_t n = list_corpus(tmp.string()).size();
-  std::size_t failures = 0;
-  auto expect = [&](bool ok, const std::string& what) {
-    std::cout << (ok ? "PASS " : "FAIL ") << what << "\n";
-    if (!ok) ++failures;
-  };
-
-  PhaseStats cold;
-  std::string cold_report = render_text(run(true, &cold), no_baseline, false);
-  expect(cold.cache.hits == 0 && cold.cache.misses == n,
-         "cold run misses all " + std::to_string(n) + " file(s)");
-
-  PhaseStats warm;
-  std::string warm_report = render_text(run(true, &warm), no_baseline, false);
-  expect(warm.cache.hits == n && warm.cache.misses == 0,
-         "warm run hits all " + std::to_string(n) + " file(s)");
-  expect(warm_report == cold_report, "warm report byte-identical to cold");
-
-  // Append a comment to one corpus file: its hash changes, nothing else's.
-  std::vector<CorpusEntry> entries = list_corpus(tmp.string());
-  {
-    std::ofstream touch(entries.front().path, std::ios::app);
-    touch << "\n// cache-selftest touch\n";
-  }
-  PhaseStats edited;
-  std::string edited_report =
-      render_text(run(true, &edited), no_baseline, false);
-  expect(edited.cache.misses == 1 && edited.cache.hits == n - 1,
-         "edited run re-lexes exactly one file");
-  std::string fresh_report = render_text(run(false, nullptr), no_baseline,
-                                         false);
-  expect(edited_report == fresh_report,
-         "edited run byte-identical to a from-scratch run");
-
-  fs::remove_all(tmp, ec);
-  std::cout << (5 - failures) << "/5 cache checks passed\n";
-  return failures == 0 ? 0 : 1;
-}
-
 int run_main(int argc, char** argv) {
-  AnalyzeOptions opts;
+  std::string root;
+  std::vector<std::string> families;
   bool want_stats = false;
   std::string baseline_path;
   std::string format = "text";
   std::string out_path;
   std::string write_baseline_path;
   std::string selftest_dir;
-  std::string selftest_cache_dir;
-  double min_cache_hit_rate = -1.0;
   bool show_baselined = false;
   bool list_checks = false;
   bool dump_callgraph = false;
@@ -397,19 +202,8 @@ int run_main(int argc, char** argv) {
         throw std::runtime_error(flag + " requires a value");
       return args[++i];
     };
-    if (args[i] == "--root") opts.root = need_value("--root");
-    else if (args[i] == "--also") opts.also.push_back(need_value("--also"));
-    else if (args[i] == "--also-dir")
-      opts.also_dirs.push_back(need_value("--also-dir"));
-    else if (args[i] == "--family")
-      opts.families.push_back(need_value("--family"));
-    else if (args[i] == "--jobs") {
-      opts.jobs = std::stoi(need_value("--jobs"));
-      if (opts.jobs < 1) throw std::runtime_error("--jobs must be >= 1");
-    } else if (args[i] == "--cache-dir")
-      opts.cache_dir = need_value("--cache-dir");
-    else if (args[i] == "--min-cache-hit-rate")
-      min_cache_hit_rate = std::stod(need_value("--min-cache-hit-rate"));
+    if (args[i] == "--root") root = need_value("--root");
+    else if (args[i] == "--family") families.push_back(need_value("--family"));
     else if (args[i] == "--stats") want_stats = true;
     else if (args[i] == "--baseline") baseline_path = need_value("--baseline");
     else if (args[i] == "--format") format = need_value("--format");
@@ -417,8 +211,6 @@ int run_main(int argc, char** argv) {
     else if (args[i] == "--write-baseline")
       write_baseline_path = need_value("--write-baseline");
     else if (args[i] == "--selftest") selftest_dir = need_value("--selftest");
-    else if (args[i] == "--selftest-cache")
-      selftest_cache_dir = need_value("--selftest-cache");
     else if (args[i] == "--show-baselined") show_baselined = true;
     else if (args[i] == "--list-checks") list_checks = true;
     else if (args[i] == "--dump-callgraph") dump_callgraph = true;
@@ -431,18 +223,13 @@ int run_main(int argc, char** argv) {
     return 0;
   }
   if (!selftest_dir.empty()) return run_selftest(selftest_dir);
-  if (!selftest_cache_dir.empty())
-    return run_selftest_cache(selftest_cache_dir);
-  if (opts.root.empty())
+  if (root.empty())
     throw std::runtime_error(
-        "--root is required (or --selftest/--selftest-cache/--list-checks)");
-  if (format == "json") format = "sarif";  // historical alias
-  if (format != "text" && format != "sarif" && format != "lite")
-    throw std::runtime_error("--format must be text, sarif or lite");
-  if (min_cache_hit_rate >= 0.0 && opts.cache_dir.empty())
-    throw std::runtime_error("--min-cache-hit-rate requires --cache-dir");
+        "--root is required (or --selftest/--list-checks)");
+  if (format != "text" && format != "sarif")
+    throw std::runtime_error("--format must be text or sarif");
 
-  for (const std::string& fam : opts.families) {
+  for (const std::string& fam : families) {
     bool known = false;
     for (const Check* c : check_registry())
       if (fam == c->name()) known = true;
@@ -452,8 +239,7 @@ int run_main(int argc, char** argv) {
   }
 
   if (dump_callgraph) {
-    std::vector<SourceFile> files = load_corpus_cached(opts, nullptr);
-    std::string text = CallGraph(files).dump();
+    std::string text = CallGraph(load_corpus(root)).dump();
     if (out_path.empty()) {
       std::cout << text;
     } else {
@@ -464,7 +250,7 @@ int run_main(int argc, char** argv) {
   }
 
   PhaseStats phase_stats;
-  std::vector<Diagnostic> diags = analyze(opts, &phase_stats);
+  std::vector<Diagnostic> diags = analyze(root, families, &phase_stats);
   Baseline baseline = baseline_path.empty() ? Baseline{}
                                             : load_baseline(baseline_path);
 
@@ -472,39 +258,21 @@ int run_main(int argc, char** argv) {
     std::map<std::string, std::size_t> per_family;
     for (const Diagnostic& d : diags) ++per_family[d.family()];
     char buf[64];
-    std::cerr << "qdc_analyze: --stats (jobs " << opts.jobs << ")\n";
+    std::cerr << "qdc_analyze: --stats\n";
     std::snprintf(buf, sizeof(buf), "%8.2f", phase_stats.load_ms);
     std::cerr << "  phase load:   " << buf << " ms\n";
     std::snprintf(buf, sizeof(buf), "%8.2f", phase_stats.graph_ms);
     std::cerr << "  phase graph:  " << buf << " ms\n";
     std::snprintf(buf, sizeof(buf), "%8.2f", phase_stats.checks_ms);
     std::cerr << "  phase checks: " << buf << " ms\n";
-    if (!opts.cache_dir.empty()) {
-      std::snprintf(buf, sizeof(buf), "%.1f",
-                    phase_stats.cache.hit_rate() * 100.0);
-      std::cerr << "  cache: " << phase_stats.cache.hits << " hit(s), "
-                << phase_stats.cache.misses << " miss(es), " << buf
-                << "% hit rate\n";
-    }
     for (const CheckStats& s : phase_stats.checks) {
       std::snprintf(buf, sizeof(buf), "%8.2f", s.millis);
-      std::cerr << "  check " << s.check << ": " << buf << " ms (cpu), "
+      std::cerr << "  check " << s.check << ": " << buf << " ms, "
                 << s.emitted << " diagnostic(s)\n";
     }
     for (const auto& [family, count] : per_family)
       std::cerr << "  family " << family << ": " << count
                 << " diagnostic(s)\n";
-  }
-
-  if (min_cache_hit_rate >= 0.0 &&
-      phase_stats.cache.hit_rate() < min_cache_hit_rate) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.1f%% < %.1f%%",
-                  phase_stats.cache.hit_rate() * 100.0,
-                  min_cache_hit_rate * 100.0);
-    std::cerr << "qdc_analyze: cache hit rate " << buf
-              << " (--min-cache-hit-rate)\n";
-    return 1;
   }
 
   if (!write_baseline_path.empty()) {
@@ -519,13 +287,10 @@ int run_main(int argc, char** argv) {
   for (const Diagnostic& d : diags)
     if (!baseline.covers(d)) ++new_count;
 
-  std::string report;
-  if (format == "sarif")
-    report = render_sarif(diags, baseline, enabled_rules(opts.families));
-  else if (format == "lite")
-    report = render_json_lite(diags, baseline, enabled_rules(opts.families));
-  else
-    report = render_text(diags, baseline, show_baselined);
+  std::string report = format == "sarif"
+                           ? render_sarif(diags, baseline,
+                                          enabled_rules(families))
+                           : render_text(diags, baseline, show_baselined);
   if (out_path.empty()) {
     std::cout << report;
   } else {

@@ -117,40 +117,4 @@ std::string render_sarif(const std::vector<Diagnostic>& diags,
   return out;
 }
 
-std::string render_json_lite(const std::vector<Diagnostic>& diags,
-                             const Baseline& baseline,
-                             const std::vector<RuleMeta>& rules) {
-  std::string out = "{\n  \"tool\": {\"name\": \"qdc_analyze\", "
-                    "\"version\": \"1.1\",\n    \"rules\": [";
-  bool first_rule = true;
-  for (const RuleMeta& r : rules) {
-    out += first_rule ? "\n" : ",\n";
-    first_rule = false;
-    out += "      {\"id\": \"" + json_escape(r.id) + "\", \"summary\": \"" +
-           json_escape(r.summary) + "\"}";
-  }
-  out += "\n    ]},\n  \"results\": [";
-  std::size_t baselined = 0;
-  bool first = true;
-  for (const Diagnostic& d : diags) {
-    bool covered = baseline.covers(d);
-    if (covered) ++baselined;
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    {\"ruleId\": \"" + json_escape(d.rule) +
-           "\", \"level\": \"error\", \"message\": \"" +
-           json_escape(d.message) + "\", \"location\": {\"file\": \"" +
-           json_escape(d.file) + "\", \"line\": " + std::to_string(d.line) +
-           "}, \"fingerprint\": \"" + json_escape(d.fingerprint()) +
-           "\", \"baselined\": " + (covered ? "true" : "false") + "}";
-  }
-  auto stale = baseline.stale();
-  out += "\n  ],\n  \"summary\": {\"total\": " +
-         std::to_string(diags.size()) +
-         ", \"baselined\": " + std::to_string(baselined) +
-         ", \"new\": " + std::to_string(diags.size() - baselined) +
-         ", \"stale\": " + std::to_string(stale.size()) + "}\n}\n";
-  return out;
-}
-
 }  // namespace qdc::analyze

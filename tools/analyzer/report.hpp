@@ -1,6 +1,5 @@
-// Report rendering: editor-friendly text, SARIF 2.1.0 (the default JSON
-// format, consumable by GitHub code scanning), and the legacy SARIF-lite
-// JSON kept behind --format=lite for existing consumers.
+// Report rendering: editor-friendly text and SARIF 2.1.0 (consumable by
+// GitHub code scanning).
 #pragma once
 
 #include <string>
@@ -26,11 +25,5 @@ std::string render_text(const std::vector<Diagnostic>& diags,
 std::string render_sarif(const std::vector<Diagnostic>& diags,
                          const Baseline& baseline,
                          const std::vector<RuleMeta>& rules);
-
-/// The pre-SARIF "lite" JSON shape ({"tool": ..., "results": [...],
-/// "summary": ...}), kept verbatim for consumers written against it.
-std::string render_json_lite(const std::vector<Diagnostic>& diags,
-                             const Baseline& baseline,
-                             const std::vector<RuleMeta>& rules);
 
 }  // namespace qdc::analyze

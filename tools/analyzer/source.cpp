@@ -819,76 +819,6 @@ SourceFile lex_file(const std::string& rel, const std::string& text) {
   return f;
 }
 
-LexCache extract_lex_cache(const SourceFile& f) {
-  LexCache c;
-  c.includes = f.includes;
-  c.defines = f.defines;
-  c.identifiers = f.identifiers;
-  c.symbols = f.symbols();
-  return c;
-}
-
-SourceFile rehydrate_file(const std::string& rel, const std::string& text,
-                          LexCache&& cache) {
-  SourceFile f;
-  f.rel = rel;
-  f.is_header = rel.size() > 4 && rel.compare(rel.size() - 4, 4, ".hpp") == 0;
-  if (rel.rfind("src/", 0) == 0) {
-    std::size_t slash = rel.find('/', 4);
-    if (slash != std::string::npos) f.module_name = rel.substr(4, slash - 4);
-  }
-  f.code = strip_comments_and_strings(text);
-  f.line_starts_.push_back(0);
-  for (std::size_t i = 0; i < f.code.size(); ++i)
-    if (f.code[i] == '\n') f.line_starts_.push_back(i + 1);
-  f.includes = std::move(cache.includes);
-  f.defines = std::move(cache.defines);
-  f.identifiers = std::move(cache.identifiers);
-  f.symbols_ = std::move(cache.symbols);
-  return f;
-}
-
-std::vector<CorpusEntry> list_corpus(
-    const std::string& root,
-    const std::vector<std::string>& extra_rel_paths,
-    const std::vector<std::string>& extra_dirs) {
-  fs::path src = fs::path(root) / "src";
-  if (!fs::is_directory(src))
-    throw std::runtime_error("qdc_analyze: no src/ directory under " + root);
-  std::vector<fs::path> paths;
-  for (const auto& entry : fs::recursive_directory_iterator(src)) {
-    if (!entry.is_regular_file()) continue;
-    fs::path p = entry.path();
-    if (p.extension() == ".hpp" || p.extension() == ".cpp") paths.push_back(p);
-  }
-  for (const std::string& rel : extra_rel_paths) {
-    fs::path p = fs::path(root) / rel;
-    if (!fs::is_regular_file(p))
-      throw std::runtime_error("qdc_analyze: --also file not found: " + rel);
-    paths.push_back(p);
-  }
-  for (const std::string& rel : extra_dirs) {
-    fs::path dir = fs::path(root) / rel;
-    if (!fs::is_directory(dir))
-      throw std::runtime_error("qdc_analyze: --also-dir not found: " + rel);
-    // Deliberately non-recursive: subdirectories (e.g. the analyzer fixture
-    // corpora under tests/) are separate worlds, not part of this corpus.
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      if (!entry.is_regular_file()) continue;
-      fs::path p = entry.path();
-      if (p.extension() == ".hpp" || p.extension() == ".cpp")
-        paths.push_back(p);
-    }
-  }
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  std::vector<CorpusEntry> out;
-  out.reserve(paths.size());
-  for (const auto& p : paths)
-    out.push_back({fs::relative(p, root).generic_string(), p.string()});
-  return out;
-}
-
 std::string read_file_text(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream buf;
@@ -896,16 +826,28 @@ std::string read_file_text(const std::string& path) {
   return buf.str();
 }
 
-std::vector<SourceFile> load_corpus(
-    const std::string& root,
-    const std::vector<std::string>& extra_rel_paths,
-    const std::vector<std::string>& extra_dirs) {
+std::vector<SourceFile> load_corpus(const std::string& root) {
+  fs::path src = fs::path(root) / "src";
+  if (!fs::is_directory(src))
+    throw std::runtime_error("qdc_analyze: no src/ directory under " + root);
+  auto is_source = [](const fs::directory_entry& e) {
+    return e.is_regular_file() && (e.path().extension() == ".hpp" ||
+                                   e.path().extension() == ".cpp");
+  };
+  std::vector<fs::path> paths;
+  for (const auto& entry : fs::recursive_directory_iterator(src))
+    if (is_source(entry)) paths.push_back(entry.path());
+  for (const char* dir : {"bench", "tests"}) {
+    if (!fs::is_directory(fs::path(root) / dir)) continue;
+    for (const auto& entry : fs::directory_iterator(fs::path(root) / dir))
+      if (is_source(entry)) paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
   std::vector<SourceFile> files;
-  std::vector<CorpusEntry> entries =
-      list_corpus(root, extra_rel_paths, extra_dirs);
-  files.reserve(entries.size());
-  for (const CorpusEntry& e : entries)
-    files.push_back(lex_file(e.rel, read_file_text(e.path)));
+  files.reserve(paths.size());
+  for (const fs::path& p : paths)
+    files.push_back(lex_file(fs::relative(p, root).generic_string(),
+                             read_file_text(p.string())));
   return files;
 }
 

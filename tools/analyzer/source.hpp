@@ -179,31 +179,9 @@ struct SourceFile {
 
  private:
   friend SourceFile lex_file(const std::string& rel, const std::string& text);
-  friend SourceFile rehydrate_file(const std::string& rel,
-                                   const std::string& text, struct LexCache&&);
   std::vector<std::size_t> line_starts_;
   SymbolTable symbols_;
 };
-
-/// The lex-derived fields of a SourceFile that are expensive to recompute —
-/// exactly what the incremental cache persists per (rel path, content hash).
-/// `code` and the line table are cheap single passes and are always rebuilt
-/// from the raw text, so a cache entry can never desynchronize them.
-struct LexCache {
-  std::vector<Include> includes;
-  std::vector<std::string> defines;
-  std::map<std::string, int> identifiers;
-  SymbolTable symbols;
-};
-
-/// Copy the cacheable fields out of a freshly-lexed file.
-LexCache extract_lex_cache(const SourceFile& f);
-
-/// Rebuild a SourceFile from raw text plus a cache entry: identical to
-/// lex_file(rel, text) whenever the entry was extracted from that exact
-/// text (the content hash guarantees it).
-SourceFile rehydrate_file(const std::string& rel, const std::string& text,
-                          LexCache&& cache);
 
 /// Blank comments and string/char literals with spaces; newlines survive so
 /// line numbers in the result match the original text.
@@ -212,37 +190,15 @@ std::string strip_comments_and_strings(const std::string& text);
 /// Lex one file's text into the SourceFile view used by checks.
 SourceFile lex_file(const std::string& rel, const std::string& text);
 
-/// Load and lex every src/**/*.hpp|*.cpp under `root`, sorted by rel path.
-/// Throws std::runtime_error when root/src does not exist.
-///
-/// `extra_rel_paths` (the --also flag) adds files outside src/ — e.g.
-/// bench/harness.{hpp,cpp}. `extra_dirs` (the --also-dir flag) adds every
-/// *.hpp|*.cpp directly under the named directory (non-recursive, so e.g.
-/// tests/analyzer_fixtures never joins the corpus). Extras get an empty
-/// module_name, so the layering, determinism, parallel and contract checks
-/// skip them (a bench harness may legitimately read the wall clock) while
-/// include hygiene still applies. Throws std::runtime_error when an extra
-/// file or directory is missing: a silently-dropped path would un-lint the
-/// files it was meant to cover.
-std::vector<SourceFile> load_corpus(
-    const std::string& root,
-    const std::vector<std::string>& extra_rel_paths = {},
-    const std::vector<std::string>& extra_dirs = {});
-
-/// One corpus member before lexing: rel path (posix, relative to root) and
-/// the absolute path to read it from.
-struct CorpusEntry {
-  std::string rel;
-  std::string path;
-};
-
-/// The file-discovery half of load_corpus: every corpus member sorted by
-/// path, without reading or lexing anything. The parallel driver fans the
-/// result out across worker threads.
-std::vector<CorpusEntry> list_corpus(
-    const std::string& root,
-    const std::vector<std::string>& extra_rel_paths = {},
-    const std::vector<std::string>& extra_dirs = {});
+/// Load and lex the corpus under `root`, sorted by rel path: every
+/// *.hpp|*.cpp under src/ (recursive) plus those directly under bench/ and
+/// tests/ when the directories exist. bench/ and tests/ are non-recursive,
+/// so tests/analyzer_fixtures never joins the corpus. Their files get an
+/// empty module_name, so the layering, determinism, parallel and contract
+/// checks skip them (a bench harness may read the wall clock) while include
+/// hygiene, flow and lint still apply. Throws std::runtime_error when
+/// root/src does not exist.
+std::vector<SourceFile> load_corpus(const std::string& root);
 
 /// Whole file as a string (binary read; empty when unreadable).
 std::string read_file_text(const std::string& path);
