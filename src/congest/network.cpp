@@ -200,14 +200,6 @@ Network::Network(graph::Graph topology, NetworkConfig config)
 Network::Network(const graph::WeightedGraph& topology, NetworkConfig config)
     : Network(std::make_shared<MaterializedView>(topology), config) {}
 
-const graph::Graph& Network::topology() const {
-  const graph::Graph* g = view_->materialized();
-  QDC_EXPECT(g != nullptr,
-             "Network::topology: built over an implicit TopologyView; use "
-             "view() instead");
-  return *g;
-}
-
 void Network::set_subnetwork(const graph::EdgeSubset& m) {
   QDC_EXPECT(m.universe_size() == view_->edge_count(),
              "Network::set_subnetwork: universe mismatch");

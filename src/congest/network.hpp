@@ -224,10 +224,6 @@ class Network {
   /// The structural view the network was built over.
   const TopologyView& view() const { return *view_; }
 
-  /// The materialized topology; throws ContractError when the network was
-  /// built over an implicit view (use view() there instead).
-  const graph::Graph& topology() const;
-
   const NetworkConfig& config() const { return config_; }
   int round() const { return round_; }
 

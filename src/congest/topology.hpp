@@ -56,10 +56,6 @@ class TopologyView {
   /// Weight of edge `e`; 1.0 unless the view carries explicit weights.
   virtual double edge_weight(EdgeId e) const;
 
-  /// The backing graph::Graph, or null for implicit (formula-backed)
-  /// views. Network::topology() forwards here.
-  virtual const graph::Graph* materialized() const { return nullptr; }
-
   /// Short stable name of the topology family ("materialized", "path",
   /// ...); benches report it as `topology_kind`.
   virtual const char* kind() const = 0;
@@ -85,7 +81,6 @@ class MaterializedView final : public TopologyView {
   EdgeId edge_at(NodeId u, int port) const override;
   graph::Edge edge(EdgeId e) const override;
   double edge_weight(EdgeId e) const override;
-  const graph::Graph* materialized() const override { return &graph_; }
   const char* kind() const override { return "materialized"; }
 
  private:

@@ -9,8 +9,8 @@ namespace qdc::core {
 
 SimulationAccounting account_three_party_cost(const LbNetwork& lbn,
                                               const congest::Network& net) {
-  QDC_EXPECT(net.topology().node_count() == lbn.topology().node_count() &&
-                 net.topology().edge_count() == lbn.topology().edge_count(),
+  QDC_EXPECT(net.node_count() == lbn.topology().node_count() &&
+                 net.view().edge_count() == lbn.topology().edge_count(),
              "account_three_party_cost: network does not match N(Gamma, L)");
   QDC_EXPECT(net.trace_recorded(),
              "account_three_party_cost: run the network with record_trace");

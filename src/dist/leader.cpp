@@ -76,7 +76,7 @@ CensusResult run_census(Network& net) {
   std::vector<Payload> contrib;
   for (NodeId u = 0; u < net.node_count(); ++u) {
     contrib.push_back(
-        {1, static_cast<std::int64_t>(net.topology().degree(u))});
+        {1, static_cast<std::int64_t>(net.view().degree(u))});
   }
   const auto agg =
       run_aggregate(net, tree, {Combiner::kSum, Combiner::kSum}, contrib);

@@ -649,8 +649,7 @@ MstRunResult run_mst(Network& net, const BfsTreeResult& tree,
     QDC_EXPECT(prog != nullptr, "run_mst: foreign program installed");
     result.component[static_cast<std::size_t>(u)] = prog->component();
     for (int p : prog->mst_ports()) {
-      edges.insert(
-          net.topology().neighbors(u)[static_cast<std::size_t>(p)].edge);
+      edges.insert(net.view().edge_at(u, p));
     }
   }
   result.tree_edges.assign(edges.begin(), edges.end());

@@ -59,7 +59,7 @@ class BellmanFordProgram : public congest::NodeProgram {
 }  // namespace
 
 SsspResult run_bellman_ford(Network& net, NodeId source) {
-  QDC_EXPECT(net.topology().valid_node(source),
+  QDC_EXPECT(source >= 0 && source < net.node_count(),
              "run_bellman_ford: bad source");
   net.install([source](NodeId, const NodeContext&) {
     return std::make_unique<BellmanFordProgram>(source);
@@ -77,10 +77,7 @@ SsspResult run_bellman_ford(Network& net, NodeId source) {
     result.distance[static_cast<std::size_t>(u)] = prog->distance();
     result.parent_port[static_cast<std::size_t>(u)] = prog->parent_port();
     if (prog->parent_port() >= 0) {
-      edges.insert(net.topology()
-                       .neighbors(u)[static_cast<std::size_t>(
-                           prog->parent_port())]
-                       .edge);
+      edges.insert(net.view().edge_at(u, prog->parent_port()));
     }
   }
   result.tree_edges.assign(edges.begin(), edges.end());
@@ -88,7 +85,7 @@ SsspResult run_bellman_ford(Network& net, NodeId source) {
 }
 
 double run_st_distance(Network& net, NodeId s, NodeId t) {
-  QDC_EXPECT(net.topology().valid_node(t), "run_st_distance: bad t");
+  QDC_EXPECT(t >= 0 && t < net.node_count(), "run_st_distance: bad t");
   return run_bellman_ford(net, s).distance[static_cast<std::size_t>(t)];
 }
 
@@ -157,7 +154,7 @@ MinCutEstimate estimate_min_cut(Network& net, const BfsTreeResult& tree,
                                 int trials_per_level) {
   QDC_EXPECT(trials_per_level >= 1, "estimate_min_cut: bad trial count");
   MinCutEstimate result;
-  const auto& topo = net.topology();
+  const auto& topo = net.view();
   const int levels =
       static_cast<int>(std::ceil(std::log2(std::max(2, topo.edge_count())))) +
       2;

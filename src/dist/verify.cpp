@@ -32,8 +32,9 @@ struct ComponentFacts {
 std::vector<int> m_degrees(const Network& net, const graph::EdgeSubset& m) {
   std::vector<int> deg(static_cast<std::size_t>(net.node_count()), 0);
   for (graph::EdgeId e : m.to_vector()) {
-    ++deg[static_cast<std::size_t>(net.topology().edge(e).u)];
-    ++deg[static_cast<std::size_t>(net.topology().edge(e).v)];
+    const graph::Edge edge = net.view().edge(e);
+    ++deg[static_cast<std::size_t>(edge.u)];
+    ++deg[static_cast<std::size_t>(edge.v)];
   }
   return deg;
 }
@@ -75,7 +76,7 @@ ComponentFacts component_facts(Network& net, const BfsTreeResult& tree,
 
 graph::EdgeSubset complement_of(const Network& net,
                                 const graph::EdgeSubset& m) {
-  graph::EdgeSubset c = graph::EdgeSubset::all(net.topology().edge_count());
+  graph::EdgeSubset c = graph::EdgeSubset::all(net.view().edge_count());
   for (graph::EdgeId e : m.to_vector()) c.erase(e);
   return c;
 }
@@ -168,7 +169,7 @@ VerifyResult verify_e_cycle_containment(Network& net,
   graph::EdgeSubset without = m;
   without.erase(e);
   const auto facts = component_facts(net, tree, without, result);
-  const auto& edge = net.topology().edge(e);
+  const graph::Edge edge = net.view().edge(e);
   result.accepted =
       labels_equal(net, tree, facts.components, edge.u, edge.v, result);
   net.set_subnetwork(m);
@@ -233,11 +234,11 @@ VerifyResult verify_bipartiteness(Network& net, const BfsTreeResult& tree,
   // complexity (messages for both copies share the physical edge, a
   // constant bandwidth factor).
   const int n = net.node_count();
-  const auto& topo = net.topology();
+  const auto& topo = net.view();
   graph::Graph cover(2 * n);
   graph::EdgeSubset cover_m(2 * topo.edge_count() + 1);
   for (graph::EdgeId e = 0; e < topo.edge_count(); ++e) {
-    const auto& edge = topo.edge(e);
+    const graph::Edge edge = topo.edge(e);
     const graph::EdgeId c1 = cover.add_edge(edge.u, edge.v + n);
     const graph::EdgeId c2 = cover.add_edge(edge.u + n, edge.v);
     if (m.contains(e)) {

@@ -6,55 +6,47 @@
 #include "util/expect.hpp"
 
 namespace qdc::service {
-namespace {
-
-constexpr std::uint8_t kSubmitFlagWait = 0x01;
-
-/// Shared tail of every typed call: classify the response frame.
-/// Returns None when `type` is the expected response; fills the error
-/// fields otherwise (ErrorResponse is decoded, anything else is a
-/// protocol violation by the server).
-ErrorCode classify(MessageType type, const std::vector<std::uint8_t>& payload,
-                   MessageType expected, std::string* message) {
-  if (type == expected) return ErrorCode::None;
-  if (type == MessageType::ErrorResponse) {
-    try {
-      WireReader r(payload);
-      ErrorBody body = ErrorBody::decode(r);
-      *message = body.message;
-      return body.code;
-    } catch (const std::exception& e) {
-      *message = e.what();
-      return ErrorCode::MalformedPayload;
-    }
-  }
-  *message = std::string("unexpected response type: ") +
-             message_type_name(type);
-  return ErrorCode::UnknownMessageType;
-}
-
-}  // namespace
 
 ServiceClient::ServiceClient(const std::string& socket_path)
     : fd_(connect_unix(socket_path)) {}
 
-ErrorCode ServiceClient::transact(MessageType request,
-                                  const std::vector<std::uint8_t>& payload,
-                                  MessageType* out_type,
-                                  std::vector<std::uint8_t>* out_payload) {
-  if (!fd_.valid() || !write_frame(fd_, request, payload)) {
-    fd_.reset();
-    return ErrorCode::TruncatedFrame;
+template <typename Result>
+Result ServiceClient::call(MessageType request,
+                           const std::vector<std::uint8_t>& payload,
+                           MessageType expected,
+                           void (*decode)(WireReader&, Result&)) {
+  Result result;
+  ReadFrameResult frame;
+  if (fd_.valid() && write_frame(fd_, request, payload)) {
+    frame = read_frame(fd_);
   }
-  ReadFrameResult frame = read_frame(fd_);
   if (frame.status != ReadStatus::Ok) {
     fd_.reset();
-    return frame.status == ReadStatus::Malformed ? frame.error
-                                                 : ErrorCode::TruncatedFrame;
+    result.error = frame.status == ReadStatus::Malformed
+                       ? frame.error
+                       : ErrorCode::TruncatedFrame;
+    result.error_message = "connection closed";
+    return result;
   }
-  *out_type = frame.header.type;
-  *out_payload = std::move(frame.payload);
-  return ErrorCode::None;
+  try {
+    WireReader r(frame.payload);
+    if (frame.header.type == expected) {
+      decode(r, result);
+    } else if (frame.header.type == MessageType::ErrorResponse) {
+      ErrorBody body = ErrorBody::decode(r);
+      result.error = body.code;
+      result.error_message = std::move(body.message);
+    } else {
+      // Anything else is a protocol violation by the server.
+      result.error = ErrorCode::UnknownMessageType;
+      result.error_message = std::string("unexpected response type: ") +
+                             message_type_name(frame.header.type);
+    }
+  } catch (const std::exception& e) {
+    result.error = ErrorCode::MalformedPayload;
+    result.error_message = e.what();
+  }
+  return result;
 }
 
 SubmitResult ServiceClient::submit(const JobSpec& spec,
@@ -64,27 +56,11 @@ SubmitResult ServiceClient::submit(const JobSpec& spec,
   w.u64(options.timeout_us);
   const std::vector<std::uint8_t> spec_bytes = spec.encode_canonical();
   w.bytes(spec_bytes.data(), spec_bytes.size());
-
-  SubmitResult result;
-  MessageType type{};
-  std::vector<std::uint8_t> payload;
-  result.error = transact(MessageType::SubmitRequest, w.take(), &type,
-                          &payload);
-  if (result.error != ErrorCode::None) {
-    result.error_message = "connection closed";
-    return result;
-  }
-  result.error = classify(type, payload, MessageType::SubmitResponse,
-                          &result.error_message);
-  if (result.error != ErrorCode::None) return result;
-  try {
-    WireReader r(payload);
-    result.status = JobStatus::decode(r);
-  } catch (const std::exception& e) {
-    result.error = ErrorCode::MalformedPayload;
-    result.error_message = e.what();
-  }
-  return result;
+  return call<SubmitResult>(MessageType::SubmitRequest, w.take(),
+                            MessageType::SubmitResponse,
+                            [](WireReader& r, SubmitResult& out) {
+                              out.status = JobStatus::decode(r);
+                            });
 }
 
 PollResult ServiceClient::poll(std::uint64_t job_id) {
@@ -92,94 +68,38 @@ PollResult ServiceClient::poll(std::uint64_t job_id) {
   QDC_EXPECT(job_id != 0, "poll: job id 0 is never a registered job");
   WireWriter w;
   w.u64(job_id);
-
-  PollResult result;
-  MessageType type{};
-  std::vector<std::uint8_t> payload;
-  result.error =
-      transact(MessageType::PollRequest, w.take(), &type, &payload);
-  if (result.error != ErrorCode::None) {
-    result.error_message = "connection closed";
-    return result;
-  }
-  result.error = classify(type, payload, MessageType::PollResponse,
-                          &result.error_message);
-  if (result.error != ErrorCode::None) return result;
-  try {
-    WireReader r(payload);
-    result.status = JobStatus::decode(r);
-  } catch (const std::exception& e) {
-    result.error = ErrorCode::MalformedPayload;
-    result.error_message = e.what();
-  }
-  return result;
+  return call<PollResult>(MessageType::PollRequest, w.take(),
+                          MessageType::PollResponse,
+                          [](WireReader& r, PollResult& out) {
+                            out.status = JobStatus::decode(r);
+                          });
 }
 
 CancelResult ServiceClient::cancel(std::uint64_t job_id) {
   QDC_EXPECT(job_id != 0, "cancel: job id 0 is never a registered job");
   WireWriter w;
   w.u64(job_id);
-
-  CancelResult result;
-  MessageType type{};
-  std::vector<std::uint8_t> payload;
-  result.error =
-      transact(MessageType::CancelRequest, w.take(), &type, &payload);
-  if (result.error != ErrorCode::None) {
-    result.error_message = "connection closed";
-    return result;
-  }
-  result.error = classify(type, payload, MessageType::CancelResponse,
-                          &result.error_message);
-  return result;
+  return call<CancelResult>(MessageType::CancelRequest, w.take(),
+                            MessageType::CancelResponse,
+                            [](WireReader&, CancelResult&) {});
 }
 
 AdminResult ServiceClient::admin() {
-  AdminResult result;
-  MessageType type{};
-  std::vector<std::uint8_t> payload;
-  result.error = transact(MessageType::AdminRequest, {}, &type, &payload);
-  if (result.error != ErrorCode::None) {
-    result.error_message = "connection closed";
-    return result;
-  }
-  result.error = classify(type, payload, MessageType::AdminResponse,
-                          &result.error_message);
-  if (result.error != ErrorCode::None) return result;
-  try {
-    WireReader r(payload);
-    result.stats = AdminStats::decode(r);
-  } catch (const std::exception& e) {
-    result.error = ErrorCode::MalformedPayload;
-    result.error_message = e.what();
-  }
-  return result;
+  return call<AdminResult>(MessageType::AdminRequest, {},
+                           MessageType::AdminResponse,
+                           [](WireReader& r, AdminResult& out) {
+                             out.stats = AdminStats::decode(r);
+                           });
 }
 
 ShutdownResult ServiceClient::shutdown_server(bool drain) {
   WireWriter w;
   w.u8(drain ? 1 : 0);
-
-  ShutdownResult result;
-  MessageType type{};
-  std::vector<std::uint8_t> payload;
-  result.error =
-      transact(MessageType::ShutdownRequest, w.take(), &type, &payload);
-  if (result.error != ErrorCode::None) {
-    result.error_message = "connection closed";
-    return result;
-  }
-  result.error = classify(type, payload, MessageType::ShutdownResponse,
-                          &result.error_message);
-  if (result.error != ErrorCode::None) return result;
-  try {
-    WireReader r(payload);
-    result.drain = r.u8() != 0;
-  } catch (const std::exception& e) {
-    result.error = ErrorCode::MalformedPayload;
-    result.error_message = e.what();
-  }
-  return result;
+  return call<ShutdownResult>(MessageType::ShutdownRequest, w.take(),
+                              MessageType::ShutdownResponse,
+                              [](WireReader& r, ShutdownResult& out) {
+                                out.drain = r.u8() != 0;
+                              });
 }
 
 bool ServiceClient::send_raw(const std::vector<std::uint8_t>& bytes) {

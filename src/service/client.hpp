@@ -87,12 +87,13 @@ class ServiceClient {
   void close() { fd_.reset(); }
 
  private:
-  /// Writes one request and reads one response. Fills `out_type` and
-  /// `out_payload`; ErrorCode::None on transport success.
-  ErrorCode transact(MessageType request,
-                     const std::vector<std::uint8_t>& payload,
-                     MessageType* out_type,
-                     std::vector<std::uint8_t>* out_payload);
+  /// The round trip behind every typed call: writes one `request`, reads
+  /// one response and hands an `expected` one to `decode`. Transport
+  /// failures, ErrorResponse answers, other response types and decode
+  /// errors land in the Result's error fields instead.
+  template <typename Result>
+  Result call(MessageType request, const std::vector<std::uint8_t>& payload,
+              MessageType expected, void (*decode)(WireReader&, Result&));
 
   Fd fd_;
 };

@@ -11,7 +11,6 @@
 #include "dist/leader.hpp"
 #include "dist/mst.hpp"
 #include "dist/tree.hpp"
-#include "graph/graph.hpp"
 #include "service/wire.hpp"
 #include "util/expect.hpp"
 
@@ -37,22 +36,6 @@ std::shared_ptr<const congest::TopologyView> build_view(const JobSpec& spec) {
   }
   QDC_EXPECT(false, "execute_job: unknown topology kind");
   return nullptr;
-}
-
-/// The dist/ drivers read Network::topology(), which implicit views do
-/// not provide, so the executor materializes every topology. Spec caps
-/// (job_spec.cpp) keep this affordable, and implicit and materialized
-/// builds of the same topology produce identical results by the engine's
-/// topology-equivalence guarantee (congest/topology.hpp).
-std::shared_ptr<const congest::TopologyView> materialize(
-    const congest::TopologyView& view) {
-  graph::Graph g(view.node_count());
-  const int edges = view.edge_count();
-  for (int e = 0; e < edges; ++e) {
-    const graph::Edge edge = view.edge(e);
-    g.add_edge(edge.u, edge.v);
-  }
-  return std::make_shared<congest::MaterializedView>(std::move(g));
 }
 
 /// FNV-1a over a vector of i64, little-endian byte order — the detail
@@ -130,8 +113,7 @@ Outcome run_algorithm(const JobSpec& spec, congest::Network& net) {
 std::vector<std::uint8_t> execute_job(const JobSpec& spec) {
   QDC_CHECK(spec.validate().empty(),
             "execute_job: invalid spec: " + spec.validate());
-  const std::shared_ptr<const congest::TopologyView> view =
-      materialize(*build_view(spec));
+  const std::shared_ptr<const congest::TopologyView> view = build_view(spec);
   congest::NetworkConfig config;
   config.bandwidth = static_cast<int>(spec.bandwidth);
   config.shared_seed = spec.shared_seed;
@@ -168,8 +150,7 @@ ResultSummary decode_result(const std::vector<std::uint8_t>& payload) {
             "result payload: unsupported version");
   ResultSummary s;
   std::uint8_t algorithm = r.u8();
-  QDC_CHECK(algorithm >= 1 && algorithm <= 3,
-            "result payload: unknown algorithm");
+  QDC_CHECK(is_algorithm_kind(algorithm), "result payload: unknown algorithm");
   s.algorithm = static_cast<AlgorithmKind>(algorithm);
   r.u16();  // reserved
   s.nodes = r.u32();

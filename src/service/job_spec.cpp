@@ -20,6 +20,25 @@ constexpr std::uint32_t kMaxLength = 65536;
 constexpr std::uint32_t kMaxBandwidthFields = 4096;
 constexpr std::uint32_t kMaxRoundBudget = 10'000'000;
 
+#define QDC_KIND_NAME(name, value, display) {(value), (display)},
+constexpr WireName kTopologyNames[] = {QDC_TOPOLOGY_KINDS(QDC_KIND_NAME)};
+constexpr WireName kAlgorithmNames[] = {QDC_ALGORITHM_KINDS(QDC_KIND_NAME)};
+#undef QDC_KIND_NAME
+
+/// The enum value `table` lists under display name `name`; false when
+/// no row has that name.
+template <std::size_t N, typename Kind>
+bool parse_kind(const WireName (&table)[N], const std::string& name,
+                Kind* out) {
+  for (const WireName& row : table) {
+    if (name == row.name) {
+      *out = static_cast<Kind>(row.value);
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string hex64(std::uint64_t v) {
   static const char* digits = "0123456789abcdef";
   std::string out = "0x";
@@ -57,10 +76,10 @@ JobSpec JobSpec::decode(WireReader& r) {
             "JobSpec: unsupported spec version " + std::to_string(version));
   JobSpec spec;
   std::uint8_t topology = r.u8();
-  QDC_CHECK(topology >= 1 && topology <= 5, "JobSpec: unknown topology kind");
+  QDC_CHECK(is_topology_kind(topology), "JobSpec: unknown topology kind");
   spec.topology = static_cast<TopologyKind>(topology);
   std::uint8_t algorithm = r.u8();
-  QDC_CHECK(algorithm >= 1 && algorithm <= 3, "JobSpec: unknown algorithm");
+  QDC_CHECK(is_algorithm_kind(algorithm), "JobSpec: unknown algorithm");
   spec.algorithm = static_cast<AlgorithmKind>(algorithm);
   std::uint8_t reserved = r.u8();
   QDC_CHECK(reserved == 0, "JobSpec: reserved byte must be 0");
@@ -171,47 +190,28 @@ std::uint64_t cache_key(const JobSpec& spec) {
   return splitmix64(fnv1a64(canonical.data(), canonical.size()));
 }
 
+bool is_topology_kind(std::uint8_t value) {
+  return wire_name(kTopologyNames, value, nullptr) != nullptr;
+}
+
+bool is_algorithm_kind(std::uint8_t value) {
+  return wire_name(kAlgorithmNames, value, nullptr) != nullptr;
+}
+
 const char* topology_kind_name(TopologyKind kind) {
-  switch (kind) {
-    case TopologyKind::Path: return "path";
-    case TopologyKind::Cycle: return "cycle";
-    case TopologyKind::Tree: return "tree";
-    case TopologyKind::Gnm: return "gnm";
-    case TopologyKind::LbNetwork: return "lb_network";
-  }
-  return "unknown";
+  return wire_name(kTopologyNames, static_cast<unsigned>(kind), "unknown");
 }
 
 const char* algorithm_kind_name(AlgorithmKind kind) {
-  switch (kind) {
-    case AlgorithmKind::Census: return "census";
-    case AlgorithmKind::Leader: return "leader";
-    case AlgorithmKind::Mst: return "mst";
-  }
-  return "unknown";
+  return wire_name(kAlgorithmNames, static_cast<unsigned>(kind), "unknown");
 }
 
 bool parse_topology_kind(const std::string& name, TopologyKind* out) {
-  for (TopologyKind kind :
-       {TopologyKind::Path, TopologyKind::Cycle, TopologyKind::Tree,
-        TopologyKind::Gnm, TopologyKind::LbNetwork}) {
-    if (name == topology_kind_name(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
+  return parse_kind(kTopologyNames, name, out);
 }
 
 bool parse_algorithm_kind(const std::string& name, AlgorithmKind* out) {
-  for (AlgorithmKind kind : {AlgorithmKind::Census, AlgorithmKind::Leader,
-                             AlgorithmKind::Mst}) {
-    if (name == algorithm_kind_name(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
+  return parse_kind(kAlgorithmNames, name, out);
 }
 
 }  // namespace qdc::service

@@ -25,21 +25,31 @@ namespace qdc::service {
 
 class WireReader;
 
-/// Topology families the executor can instantiate. Stable wire values.
-enum class TopologyKind : std::uint8_t {
-  Path = 1,       ///< congest::PathView(nodes)
-  Cycle = 2,      ///< congest::CycleView(nodes)
-  Tree = 3,       ///< congest::BalancedTreeView(nodes, arity)
-  Gnm = 4,        ///< congest::GnmView(nodes, edges, topology_seed)
-  LbNetwork = 5,  ///< core::LbTopologyView(gamma, length)
-};
+/// Topology families the executor can instantiate, as an X-macro list
+/// (see wire.hpp): X(Name, wire value, display name). Stable wire values;
+/// append only.
+#define QDC_TOPOLOGY_KINDS(X)                                                 \
+  X(Path, 1, "path")            /* congest::PathView(nodes) */                \
+  X(Cycle, 2, "cycle")          /* congest::CycleView(nodes) */               \
+  X(Tree, 3, "tree")            /* congest::BalancedTreeView(nodes, arity) */ \
+  X(Gnm, 4, "gnm")              /* congest::GnmView(n, m, topology_seed) */   \
+  X(LbNetwork, 5, "lb_network") /* core::LbTopologyView(gamma, length) */
 
-/// Algorithms the executor can run. Stable wire values.
-enum class AlgorithmKind : std::uint8_t {
-  Census = 1,  ///< dist::run_census: leader election + BFS census
-  Leader = 2,  ///< dist::elect_leader: flood-max election
-  Mst = 3,     ///< dist::build_bfs_tree + dist::run_mst (unit weights)
+/// Algorithms the executor can run: X(Name, wire value, display name).
+/// Stable wire values; append only.
+#define QDC_ALGORITHM_KINDS(X)                                               \
+  X(Census, 1, "census") /* dist::run_census: election + BFS census */       \
+  X(Leader, 2, "leader") /* dist::elect_leader: flood-max election */        \
+  X(Mst, 3, "mst")       /* dist::build_bfs_tree + run_mst (unit weights) */
+
+#define QDC_KIND_ENUMERATOR(name, value, display) name = (value),
+enum class TopologyKind : std::uint8_t {
+  QDC_TOPOLOGY_KINDS(QDC_KIND_ENUMERATOR)
 };
+enum class AlgorithmKind : std::uint8_t {
+  QDC_ALGORITHM_KINDS(QDC_KIND_ENUMERATOR)
+};
+#undef QDC_KIND_ENUMERATOR
 
 /// Version byte leading every canonical spec encoding. Bump only when a
 /// field is added/retired; old encodings must never be reinterpreted.
@@ -87,10 +97,13 @@ std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t size);
 /// the key is usable directly as a hash-table index.
 std::uint64_t cache_key(const JobSpec& spec);
 
-/// Stable display name of a topology kind ("path", "lb_network", ...).
-const char* topology_kind_name(TopologyKind kind);
+/// Whether a wire byte names a listed topology kind / algorithm.
+bool is_topology_kind(std::uint8_t value);
+bool is_algorithm_kind(std::uint8_t value);
 
-/// Stable display name of an algorithm ("census", "mst", ...).
+/// Stable display name of a topology kind ("path", "lb_network", ...) or
+/// algorithm ("census", "mst", ...); "unknown" for an unlisted value.
+const char* topology_kind_name(TopologyKind kind);
 const char* algorithm_kind_name(AlgorithmKind kind);
 
 /// Parses a display name back to the enum; returns false on no match.

@@ -9,12 +9,6 @@
 #include "util/expect.hpp"
 
 namespace qdc::service {
-namespace {
-
-/// SubmitRequest flag bits (docs/SERVICE.md).
-constexpr std::uint8_t kSubmitFlagWait = 0x01;
-
-}  // namespace
 
 ExperimentServer::ExperimentServer(ServerOptions options)
     : options_(std::move(options)),

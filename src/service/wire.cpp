@@ -5,6 +5,19 @@
 #include "util/expect.hpp"
 
 namespace qdc::service {
+namespace {
+
+#define QDC_WIRE_NAME(name, value) {(value), #name},
+constexpr WireName kMessageTypeNames[] = {QDC_MESSAGE_TYPES(QDC_WIRE_NAME)};
+constexpr WireName kErrorCodeNames[] = {QDC_ERROR_CODES(QDC_WIRE_NAME)};
+constexpr WireName kJobStateNames[] = {QDC_JOB_STATES(QDC_WIRE_NAME)};
+#undef QDC_WIRE_NAME
+
+bool is_job_state(std::uint8_t value) {
+  return wire_name(kJobStateNames, value, nullptr) != nullptr;
+}
+
+}  // namespace
 
 bool is_terminal(JobState s) {
   return s == JobState::Done || s == JobState::Cancelled ||
@@ -126,64 +139,21 @@ ErrorCode parse_frame_header(const std::uint8_t* header, FrameHeader* out) {
 }
 
 bool is_request(MessageType type) {
-  switch (type) {
-    case MessageType::SubmitRequest:
-    case MessageType::PollRequest:
-    case MessageType::CancelRequest:
-    case MessageType::AdminRequest:
-    case MessageType::ShutdownRequest:
-      return true;
-    default:
-      return false;
-  }
+  const auto value = static_cast<unsigned>(type);
+  return (value & 0x80u) == 0 &&
+         wire_name(kMessageTypeNames, value, nullptr) != nullptr;
 }
 
 const char* message_type_name(MessageType type) {
-  switch (type) {
-    case MessageType::SubmitRequest: return "SubmitRequest";
-    case MessageType::PollRequest: return "PollRequest";
-    case MessageType::CancelRequest: return "CancelRequest";
-    case MessageType::AdminRequest: return "AdminRequest";
-    case MessageType::ShutdownRequest: return "ShutdownRequest";
-    case MessageType::SubmitResponse: return "SubmitResponse";
-    case MessageType::PollResponse: return "PollResponse";
-    case MessageType::CancelResponse: return "CancelResponse";
-    case MessageType::AdminResponse: return "AdminResponse";
-    case MessageType::ShutdownResponse: return "ShutdownResponse";
-    case MessageType::ErrorResponse: return "ErrorResponse";
-  }
-  return "Unknown";
+  return wire_name(kMessageTypeNames, static_cast<unsigned>(type), "Unknown");
 }
 
 const char* error_code_name(ErrorCode code) {
-  switch (code) {
-    case ErrorCode::None: return "None";
-    case ErrorCode::BadMagic: return "BadMagic";
-    case ErrorCode::UnsupportedVersion: return "UnsupportedVersion";
-    case ErrorCode::UnknownMessageType: return "UnknownMessageType";
-    case ErrorCode::TruncatedFrame: return "TruncatedFrame";
-    case ErrorCode::OversizedFrame: return "OversizedFrame";
-    case ErrorCode::MalformedPayload: return "MalformedPayload";
-    case ErrorCode::BadJobSpec: return "BadJobSpec";
-    case ErrorCode::QueueFull: return "QueueFull";
-    case ErrorCode::UnknownJob: return "UnknownJob";
-    case ErrorCode::NotCancellable: return "NotCancellable";
-    case ErrorCode::Draining: return "Draining";
-    case ErrorCode::ExecutionFailed: return "ExecutionFailed";
-  }
-  return "Unknown";
+  return wire_name(kErrorCodeNames, static_cast<unsigned>(code), "Unknown");
 }
 
 const char* job_state_name(JobState state) {
-  switch (state) {
-    case JobState::Queued: return "Queued";
-    case JobState::Running: return "Running";
-    case JobState::Done: return "Done";
-    case JobState::Cancelled: return "Cancelled";
-    case JobState::Expired: return "Expired";
-    case JobState::Failed: return "Failed";
-  }
-  return "Unknown";
+  return wire_name(kJobStateNames, static_cast<unsigned>(state), "Unknown");
 }
 
 std::vector<std::uint8_t> JobStatus::encode() const {
@@ -204,7 +174,7 @@ JobStatus JobStatus::decode(WireReader& r) {
   JobStatus s;
   s.job_id = r.u64();
   std::uint8_t state = r.u8();
-  QDC_CHECK(state >= 1 && state <= 6, "JobStatus: bad state byte");
+  QDC_CHECK(is_job_state(state), "JobStatus: bad state byte");
   s.state = static_cast<JobState>(state);
   s.cached = r.u8() != 0;
   s.error = static_cast<ErrorCode>(r.u16());
@@ -234,47 +204,17 @@ ErrorBody ErrorBody::decode(WireReader& r) {
 
 std::vector<std::uint8_t> AdminStats::encode() const {
   WireWriter w;
-  w.u64(queue_depth);
-  w.u64(queue_capacity);
-  w.u64(in_flight);
-  w.u64(jobs_submitted);
-  w.u64(jobs_completed);
-  w.u64(jobs_cancelled);
-  w.u64(jobs_expired);
-  w.u64(jobs_failed);
-  w.u64(cache_hits);
-  w.u64(cache_misses);
-  w.u64(cache_evictions);
-  w.u64(cache_bytes);
-  w.u64(cache_capacity_bytes);
-  w.u64(cache_entries);
-  w.u64(total_wall_us);
-  w.u64(total_compute_us);
-  w.u64(max_wall_us);
-  w.u64(max_compute_us);
+  for (const AdminCounter& counter : kAdminCounters) {
+    w.u64(this->*counter.member);
+  }
   return w.take();
 }
 
 AdminStats AdminStats::decode(WireReader& r) {
   AdminStats s;
-  s.queue_depth = r.u64();
-  s.queue_capacity = r.u64();
-  s.in_flight = r.u64();
-  s.jobs_submitted = r.u64();
-  s.jobs_completed = r.u64();
-  s.jobs_cancelled = r.u64();
-  s.jobs_expired = r.u64();
-  s.jobs_failed = r.u64();
-  s.cache_hits = r.u64();
-  s.cache_misses = r.u64();
-  s.cache_evictions = r.u64();
-  s.cache_bytes = r.u64();
-  s.cache_capacity_bytes = r.u64();
-  s.cache_entries = r.u64();
-  s.total_wall_us = r.u64();
-  s.total_compute_us = r.u64();
-  s.max_wall_us = r.u64();
-  s.max_compute_us = r.u64();
+  for (const AdminCounter& counter : kAdminCounters) {
+    s.*counter.member = r.u64();
+  }
   // Forward compatibility: a newer server may append counters; ignore
   // anything this decoder does not know about.
   return s;

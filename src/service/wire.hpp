@@ -16,7 +16,7 @@
 // docs/SERVICE.md is the normative spec (frame layout, payload of every
 // message type, error codes, versioning rules); this header and that
 // document must change together — qdc_analyze's lint/doc-drift rule
-// fails when a MessageType enumerator has no SERVICE.md section.
+// checks the lists below against it.
 //
 // Decoding is defensive: readers never trust a length field. WireReader
 // throws ModelError (via QDC_CHECK) on truncation; the server catches it
@@ -34,53 +34,73 @@ inline constexpr std::size_t kFrameHeaderSize = 12;
 inline constexpr std::uint32_t kMaxPayload = 16u * 1024u * 1024u;
 inline constexpr std::uint8_t kMagic[4] = {'Q', 'D', 'C', 'S'};
 
+// Each wire name is defined once, in an X-macro list: LIST(X) expands
+// X(Name, value) for every entry, and each use site defines X to build
+// what it needs from the same list (the enums here, the name tables in
+// wire.cpp, the AdminStats fields and their wire order). Appending an
+// enumerator is one list line. Entry comments must be /* */: a // comment
+// on a backslash-continued line swallows the next entry.
+
 /// Frame discriminator. Requests have the high bit clear, responses have
-/// it set; ErrorResponse may answer any request. Every enumerator here
-/// must have a matching "#### <Name>" section in docs/SERVICE.md.
-enum class MessageType : std::uint8_t {
-  SubmitRequest = 0x01,    ///< enqueue a job (or serve it from cache)
-  PollRequest = 0x02,      ///< query a submitted job's status/result
-  CancelRequest = 0x03,    ///< cancel a still-queued job
-  AdminRequest = 0x04,     ///< server statistics snapshot
-  ShutdownRequest = 0x05,  ///< stop the server (optionally after drain)
-  SubmitResponse = 0x81,
-  PollResponse = 0x82,
-  CancelResponse = 0x83,
-  AdminResponse = 0x84,
-  ShutdownResponse = 0x85,
-  ErrorResponse = 0xFF,
-};
+/// it set; ErrorResponse may answer any request. Every entry must have a
+/// matching "#### <Name>" section in docs/SERVICE.md.
+#define QDC_MESSAGE_TYPES(X)                                               \
+  X(SubmitRequest, 0x01)   /* enqueue a job (or serve it from cache) */    \
+  X(PollRequest, 0x02)     /* query a submitted job's status/result */     \
+  X(CancelRequest, 0x03)   /* cancel a still-queued job */                 \
+  X(AdminRequest, 0x04)    /* server statistics snapshot */                \
+  X(ShutdownRequest, 0x05) /* stop the server (optionally after drain) */  \
+  X(SubmitResponse, 0x81)                                                  \
+  X(PollResponse, 0x82)                                                    \
+  X(CancelResponse, 0x83)                                                  \
+  X(AdminResponse, 0x84)                                                   \
+  X(ShutdownResponse, 0x85)                                                \
+  X(ErrorResponse, 0xFF)
 
 /// Why a request (or a whole frame) was rejected. Stable wire values;
-/// never renumber, only append.
-enum class ErrorCode : std::uint16_t {
-  None = 0,
-  BadMagic = 1,            ///< frame does not start with 'QDCS'
-  UnsupportedVersion = 2,  ///< frame version != kWireVersion
-  UnknownMessageType = 3,  ///< type byte is not a request enumerator
-  TruncatedFrame = 4,      ///< connection closed mid-frame
-  OversizedFrame = 5,      ///< payload length exceeds kMaxPayload
-  MalformedPayload = 6,    ///< payload does not parse as its type
-  BadJobSpec = 7,          ///< spec failed validation (see message text)
-  QueueFull = 8,           ///< bounded job queue rejected the submit
-  UnknownJob = 9,          ///< job id is not (or no longer) registered
-  NotCancellable = 10,     ///< job already running or terminal
-  Draining = 11,           ///< server is shutting down; no new submits
-  ExecutionFailed = 12,    ///< the job itself threw; message has details
-};
+/// never renumber, only append. Every entry must have a row in the Error
+/// codes table of docs/SERVICE.md.
+#define QDC_ERROR_CODES(X)                                                 \
+  X(None, 0)                                                               \
+  X(BadMagic, 1)           /* frame does not start with 'QDCS' */          \
+  X(UnsupportedVersion, 2) /* frame version != kWireVersion */             \
+  X(UnknownMessageType, 3) /* type byte is not a request enumerator */     \
+  X(TruncatedFrame, 4)     /* connection closed mid-frame */               \
+  X(OversizedFrame, 5)     /* payload length exceeds kMaxPayload */        \
+  X(MalformedPayload, 6)   /* payload does not parse as its type */        \
+  X(BadJobSpec, 7)         /* spec failed validation (see message text) */ \
+  X(QueueFull, 8)          /* bounded job queue rejected the submit */     \
+  X(UnknownJob, 9)         /* job id is not (or no longer) registered */   \
+  X(NotCancellable, 10)    /* job already running or terminal */           \
+  X(Draining, 11)          /* server is shutting down; no new submits */   \
+  X(ExecutionFailed, 12)   /* the job itself threw; message has details */
 
 /// Lifecycle of a submitted job (docs/SERVICE.md has the state diagram).
 /// Queued and Running are transient; everything >= Done is terminal.
-enum class JobState : std::uint8_t {
-  Queued = 1,
-  Running = 2,
-  Done = 3,
-  Cancelled = 4,
-  Expired = 5,
-  Failed = 6,
+#define QDC_JOB_STATES(X) \
+  X(Queued, 1)            \
+  X(Running, 2)           \
+  X(Done, 3)              \
+  X(Cancelled, 4)         \
+  X(Expired, 5)           \
+  X(Failed, 6)
+
+#define QDC_WIRE_ENUMERATOR(name, value) name = (value),
+enum class MessageType : std::uint8_t {
+  QDC_MESSAGE_TYPES(QDC_WIRE_ENUMERATOR)
 };
+enum class ErrorCode : std::uint16_t {
+  QDC_ERROR_CODES(QDC_WIRE_ENUMERATOR)
+};
+enum class JobState : std::uint8_t {
+  QDC_JOB_STATES(QDC_WIRE_ENUMERATOR)
+};
+#undef QDC_WIRE_ENUMERATOR
 
 bool is_terminal(JobState s);
+
+/// SubmitRequest flag bits (docs/SERVICE.md).
+inline constexpr std::uint8_t kSubmitFlagWait = 0x01;
 
 /// Append-only little-endian payload builder.
 class WireWriter {
@@ -144,17 +164,32 @@ std::vector<std::uint8_t> encode_frame(MessageType type,
 /// which types it expects.
 ErrorCode parse_frame_header(const std::uint8_t* header, FrameHeader* out);
 
-/// Whether `type` is a request a server must answer.
+/// Whether `type` is a request a server must answer: a listed type with
+/// the high bit clear.
 bool is_request(MessageType type);
 
-/// Stable display name of a message type ("SubmitRequest", ...).
+/// Stable display names: the list entry's name ("SubmitRequest",
+/// "QueueFull", "Queued", ...), "Unknown" for an unlisted value.
 const char* message_type_name(MessageType type);
-
-/// Stable display name of an error code ("QueueFull", ...).
 const char* error_code_name(ErrorCode code);
-
-/// Stable display name of a job state ("Queued", ...).
 const char* job_state_name(JobState state);
+
+/// One row of a name table generated from a list: an entry's wire value
+/// and its display name.
+struct WireName {
+  unsigned value;
+  const char* name;
+};
+
+/// The name `table` lists for `value`, or `fallback` when it has none.
+template <std::size_t N>
+const char* wire_name(const WireName (&table)[N], unsigned value,
+                      const char* fallback) {
+  for (const WireName& row : table) {
+    if (row.value == value) return row.name;
+  }
+  return fallback;
+}
 
 // ---------------------------------------------------------------------
 // Typed payloads. Each struct has encode() -> payload bytes and a static
@@ -184,31 +219,51 @@ struct ErrorBody {
   static ErrorBody decode(WireReader& r);
 };
 
-/// Admin statistics snapshot: a fixed-order block of u64 counters. New
-/// counters are appended (never reordered); decoders ignore trailing
-/// fields they do not know, which is the protocol's forward-compat rule.
+/// AdminResponse counters in wire order: a fixed-order block of u64
+/// counters. New counters are appended (never reordered); decoders ignore
+/// trailing fields they do not know, which is the protocol's forward-compat
+/// rule. docs/SERVICE.md lists them in this order.
+#define QDC_ADMIN_COUNTERS(X)                                   \
+  X(queue_depth)          /* jobs waiting in the queue */       \
+  X(queue_capacity)       /* admission bound */                 \
+  X(in_flight)            /* jobs currently executing */        \
+  X(jobs_submitted)       /* every accepted submit, hits too */ \
+  X(jobs_completed)       /* jobs that ran to Done */           \
+  X(jobs_cancelled)                                             \
+  X(jobs_expired)                                               \
+  X(jobs_failed)                                                \
+  X(cache_hits)                                                 \
+  X(cache_misses)                                               \
+  X(cache_evictions)                                            \
+  X(cache_bytes)          /* current cached payload bytes */    \
+  X(cache_capacity_bytes)                                       \
+  X(cache_entries)                                              \
+  X(total_wall_us)        /* sum over terminal jobs + hits */   \
+  X(total_compute_us)                                           \
+  X(max_wall_us)                                                \
+  X(max_compute_us)
+
+/// Admin statistics snapshot, one field per QDC_ADMIN_COUNTERS entry.
 struct AdminStats {
-  std::uint64_t queue_depth = 0;
-  std::uint64_t queue_capacity = 0;
-  std::uint64_t in_flight = 0;
-  std::uint64_t jobs_submitted = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t jobs_cancelled = 0;
-  std::uint64_t jobs_expired = 0;
-  std::uint64_t jobs_failed = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_bytes = 0;
-  std::uint64_t cache_capacity_bytes = 0;
-  std::uint64_t cache_entries = 0;
-  std::uint64_t total_wall_us = 0;
-  std::uint64_t total_compute_us = 0;
-  std::uint64_t max_wall_us = 0;
-  std::uint64_t max_compute_us = 0;
+#define QDC_ADMIN_FIELD(name) std::uint64_t name = 0;
+  QDC_ADMIN_COUNTERS(QDC_ADMIN_FIELD)
+#undef QDC_ADMIN_FIELD
 
   std::vector<std::uint8_t> encode() const;
   static AdminStats decode(WireReader& r);
+};
+
+/// (name, member) of every admin counter, in wire order: AdminStats's
+/// encode/decode and qdc_client's admin printout loop over it.
+struct AdminCounter {
+  const char* name;
+  std::uint64_t AdminStats::*member;
+};
+
+inline constexpr AdminCounter kAdminCounters[] = {
+#define QDC_ADMIN_ROW(name) {#name, &AdminStats::name},
+    QDC_ADMIN_COUNTERS(QDC_ADMIN_ROW)
+#undef QDC_ADMIN_ROW
 };
 
 }  // namespace qdc::service

@@ -10,4 +10,12 @@ void log_value(int v) {
   printf("%d\n", v);
 }
 
+template <typename Sink>
+int log_bare(int v, Sink& sink) {
+  using namespace std;
+  cout << v;
+  sink.cout += v;
+  return (&sink)->cout;
+}
+
 }  // namespace qdc::util

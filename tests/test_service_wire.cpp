@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -159,25 +160,52 @@ TEST(ServiceWire, ErrorBodyRoundTrip) {
 }
 
 TEST(ServiceWire, AdminStatsRoundTripAndForwardCompat) {
+  // The wire order is append-only: these 18 counters lead the block, in
+  // this order, forever.
+  const char* const kWireOrder[] = {
+      "queue_depth",          "queue_capacity",   "in_flight",
+      "jobs_submitted",       "jobs_completed",   "jobs_cancelled",
+      "jobs_expired",         "jobs_failed",      "cache_hits",
+      "cache_misses",         "cache_evictions",  "cache_bytes",
+      "cache_capacity_bytes", "cache_entries",    "total_wall_us",
+      "total_compute_us",     "max_wall_us",      "max_compute_us"};
+  ASSERT_GE(std::size(kAdminCounters), std::size(kWireOrder));
+  for (std::size_t i = 0; i < std::size(kWireOrder); ++i) {
+    EXPECT_STREQ(kAdminCounters[i].name, kWireOrder[i]);
+  }
+
+  // A distinct value per counter, so two swapped counters cannot pass.
+  auto value_of = [](std::size_t i) {
+    return 0x0101010101010101ULL * (i + 1) + i;
+  };
   AdminStats stats;
-  stats.queue_depth = 1;
-  stats.jobs_submitted = 2;
-  stats.cache_hits = 3;
-  stats.max_compute_us = 4;
+  for (std::size_t i = 0; i < std::size(kAdminCounters); ++i) {
+    stats.*kAdminCounters[i].member = value_of(i);
+  }
+  EXPECT_EQ(stats.queue_depth, value_of(0));
+  EXPECT_EQ(stats.cache_capacity_bytes, value_of(12));
+  EXPECT_EQ(stats.max_compute_us, value_of(17));
+
+  // Counter i is the little-endian u64 at byte offset 8 * i.
+  std::vector<std::uint8_t> payload = stats.encode();
+  ASSERT_EQ(payload.size(), 8 * std::size(kAdminCounters));
+  for (std::size_t i = 0; i < std::size(kAdminCounters); ++i) {
+    WireReader at(payload.data() + 8 * i, 8);
+    EXPECT_EQ(at.u64(), value_of(i)) << kAdminCounters[i].name;
+  }
 
   // A future server may append counters; today's decoder must ignore
   // them (the protocol's forward-compat rule).
-  std::vector<std::uint8_t> payload = stats.encode();
   WireWriter extra;
   extra.u64(0xFFFFFFFFFFFFFFFFULL);
   payload.insert(payload.end(), extra.data().begin(), extra.data().end());
 
   WireReader r(payload);
   const AdminStats back = AdminStats::decode(r);
-  EXPECT_EQ(back.queue_depth, 1u);
-  EXPECT_EQ(back.jobs_submitted, 2u);
-  EXPECT_EQ(back.cache_hits, 3u);
-  EXPECT_EQ(back.max_compute_us, 4u);
+  for (std::size_t i = 0; i < std::size(kAdminCounters); ++i) {
+    EXPECT_EQ(back.*kAdminCounters[i].member, value_of(i))
+        << kAdminCounters[i].name;
+  }
 }
 
 TEST(ServiceSpec, CanonicalEncodingHasPinnedSize) {
@@ -231,6 +259,14 @@ TEST(ServiceSpec, ValidateEnforcesTopologyMinimums) {
   EXPECT_FALSE(gnm.validate().empty());
   gnm.edges = 9;
   EXPECT_TRUE(gnm.validate().empty());
+
+  JobSpec tree;
+  tree.topology = TopologyKind::Tree;
+  tree.nodes = 8;
+  tree.arity = 0;  // a tree needs arity >= 1
+  EXPECT_FALSE(tree.validate().empty());
+  tree.arity = 1;  // arity 1 is the path 0-1-...-7
+  EXPECT_TRUE(tree.validate().empty());
 }
 
 TEST(ServiceSpec, ValidateEnforcesMstBandwidthFloor) {

@@ -11,9 +11,10 @@
 //                           bench/ the rule also bans std::random_device and
 //                           the std <random> engines (std::mt19937, ...): a
 //                           figure must come from a seeded Rng alone.
-//   lint/no-iostream        no <iostream>/<cstdio>/<stdio.h>, std::cout/
-//                           cerr/clog or printf-family calls. Reporting
-//                           belongs to tests, benches and examples.
+//   lint/no-iostream        no <iostream>/<cstdio>/<stdio.h>, cout/cerr/
+//                           clog (std:: or unqualified) or printf-family
+//                           calls. Reporting belongs to tests, benches and
+//                           examples.
 //   lint/throw-via-macro    every `throw` goes through QDC_EXPECT/QDC_CHECK,
 //                           so model violations carry file/line context
 //                           (src/util/expect.{hpp,cpp} implement them).
@@ -24,10 +25,12 @@
 //                           declares something inside namespace qdc.
 //   lint/doc-drift          every bench/bench_*.cpp is named in
 //                           EXPERIMENTS.md and docs/EXPERIMENT_PIPELINE.md;
-//                           every MessageType enumerator in
-//                           src/service/wire.hpp has a `#### <Name>`
-//                           section in docs/SERVICE.md; every registered
-//                           check family is named in tools/analyzer/README.md.
+//                           the wire lists of src/service/wire.hpp match
+//                           docs/SERVICE.md (a `#### <Name>` section per
+//                           message type, an Error codes row per code, the
+//                           AdminResponse counters in list order); every
+//                           registered check family is named in
+//                           tools/analyzer/README.md.
 //
 // Token rules report at most one diagnostic per line and rule.
 
@@ -101,6 +104,17 @@ std::vector<std::pair<std::size_t, std::string>> std_names(
   return out;
 }
 
+/// The code before `pos` ends in `.`, `->` or `::` (blanks skipped), so
+/// the token at `pos` is a member or a qualified name.
+bool is_member_or_qualified(const std::string& code, std::size_t pos) {
+  while (pos > 0 && std::isspace(static_cast<unsigned char>(code[pos - 1])))
+    --pos;
+  if (pos == 0) return false;
+  const char c = code[pos - 1];
+  const char b = pos >= 2 ? code[pos - 2] : '\0';
+  return c == '.' || (c == '>' && b == '-') || (c == ':' && b == ':');
+}
+
 /// (offset, name) of every rand( / srand( call.
 std::vector<std::pair<std::size_t, std::string>> rand_calls(
     const std::string& code) {
@@ -139,7 +153,7 @@ class LintCheck final : public Check {
         {"lint/namespace-hygiene",
          "file-scope using-namespace, or nothing declared in namespace qdc"},
         {"lint/doc-drift",
-         "bench binary, wire message type or check family missing from its "
+         "bench binary, wire list entry or check family missing from its "
          "document"},
     };
   }
@@ -259,6 +273,10 @@ class LintCheck final : public Check {
     for (const auto& [pos, name] : std_names(f.code))
       if (name == "cout" || name == "cerr" || name == "clog")
         io.emplace_back(pos, "std::" + name);
+    // Unqualified streams, as after a `using namespace std;`.
+    for (const char* stream : {"cout", "cerr", "clog"})
+      for (std::size_t pos : token_hits(f.code, stream, '\0'))
+        if (!is_member_or_qualified(f.code, pos)) io.emplace_back(pos, stream);
     for (const char* fn : {"printf", "fprintf", "sprintf"})
       for (std::size_t pos : token_hits(f.code, fn, '('))
         io.emplace_back(pos, fn);
@@ -329,6 +347,46 @@ class LintCheck final : public Check {
     }
   }
 
+  /// (offset, name) of every entry of the X-macro list `macro` in `code`:
+  /// the first identifier inside each `X(` of the `#define macro(X)`
+  /// body, which runs to the first line without a trailing backslash.
+  static std::vector<std::pair<std::size_t, std::string>> list_entries(
+      const std::string& code, const std::string& macro) {
+    std::vector<std::pair<std::size_t, std::string>> out;
+    std::size_t pos = 0;
+    for (; (pos = find_token(code, macro, pos)) != std::string::npos;
+         pos += macro.size()) {
+      std::size_t bol = code.rfind('\n', pos);
+      std::string head = trim_line(code, bol == std::string::npos ? 0 : bol + 1,
+                                   pos);
+      if (!head.empty() && head[0] == '#' &&
+          read_ident_at(head, skip_space(head, 1)) == "define")
+        break;
+    }
+    if (pos == std::string::npos) return out;
+    std::size_t open = skip_blank(code, pos + macro.size());
+    if (open >= code.size() || code[open] != '(') return out;
+    const std::string param = read_ident_at(code, skip_blank(code, open + 1));
+    std::size_t end = open;
+    for (;;) {
+      end = std::min(code.find('\n', end), code.size());
+      std::size_t last = end;
+      while (last > open && (code[last - 1] == ' ' || code[last - 1] == '\t'))
+        --last;
+      if (end == code.size() || code[last - 1] != '\\') break;
+      ++end;
+    }
+    for (std::size_t x : token_hits(code, param.c_str(), '('))
+      if (x > open && x < end)
+        out.emplace_back(
+            x, read_ident_at(code, skip_blank(code, code.find('(', x) + 1)));
+    return out;
+  }
+
+  /// Every wire list in src/service/wire.hpp against docs/SERVICE.md: a
+  /// `#### Name` section per message type, an Error codes table row per
+  /// error code, and a `u64 name` line under `#### AdminResponse` per admin
+  /// counter, in list order.
   static void check_wire_docs(const AnalysisContext& ctx,
                               std::vector<Diagnostic>& out) {
     const std::string wire_rel = "src/service/wire.hpp";
@@ -340,46 +398,69 @@ class LintCheck final : public Check {
                      "wire-protocol spec docs/SERVICE.md is missing"});
       return;
     }
-    std::set<std::string> sections;  // `#### Name` headings
+    std::set<std::string> sections;        // `#### Name` headings
+    std::set<std::string> error_rows;      // Error codes table: code cells
+    std::vector<std::string> admin_lines;  // `u64 name` under AdminResponse
+    std::string heading;                   // text of the latest heading
     std::string doc = read_file_text(ctx.root + "/" + doc_rel);
     for (std::size_t begin = 0; begin < doc.size();) {
       std::size_t end = std::min(doc.find('\n', begin), doc.size());
-      std::string line = doc.substr(begin, end - begin);
-      std::size_t i = line.rfind("####", 0) == 0 ? skip_space(line, 4) : 0;
-      std::string name = i > 4 ? read_ident_at(line, i) : "";
-      if (!name.empty() && skip_space(line, i + name.size()) == line.size())
-        sections.insert(name);
+      std::string line = trim_line(doc, begin, end);
       begin = end + 1;
+      if (!line.empty() && line[0] == '#') {
+        std::size_t i = line.find_first_not_of('#');
+        heading = i == std::string::npos ? "" : trim_line(line, i, line.size());
+        std::string name = read_ident_at(heading, 0);
+        if (line.rfind("#### ", 0) == 0 && !name.empty() && name == heading)
+          sections.insert(name);
+      } else if (heading == "Error codes" && !line.empty() && line[0] == '|') {
+        std::size_t cell = line.find('|', 1);
+        if (cell != std::string::npos)
+          error_rows.insert(trim_line(line, cell + 1,
+                                      std::min(line.find('|', cell + 1),
+                                               line.size())));
+      } else if (heading == "AdminResponse" && after_word(line, "u64") != 0) {
+        admin_lines.push_back(read_ident_at(line, after_word(line, "u64")));
+      }
     }
-    const std::string& code = wire->code;
-    std::size_t body = std::string::npos;
-    for (std::size_t pos = 0;
-         (pos = find_token(code, "enum", pos)) != std::string::npos; pos += 4) {
-      std::size_t i = skip_space(code, pos + 4);
-      if (read_ident_at(code, i) != "class") continue;
-      i = skip_space(code, i + 5);
-      if (read_ident_at(code, i) != "MessageType") continue;
-      body = code.find('{', i);
-      break;
-    }
-    if (body == std::string::npos) {
-      out.push_back({"lint/doc-drift", wire_rel, 1, "no-enum",
-                     "cannot find the MessageType enum"});
-      return;
-    }
-    std::size_t close = std::min(code.find('}', body), code.size());
-    for (std::size_t begin = body + 1; begin < close;) {
-      std::size_t end = std::min(code.find('\n', begin), close);
-      std::size_t i = skip_space(code, begin);
-      std::string name = i < end ? read_ident_at(code, i) : "";
-      if (name.size() >= 2 && name[0] >= 'A' && name[0] <= 'Z' &&
-          code[skip_space(code, i + name.size())] == '=' &&
-          sections.count(name) == 0)
-        out.push_back({"lint/doc-drift", wire_rel, wire->line_of(i),
-                       "MessageType::" + name,
-                       "message type '" + name + "' has no '#### " + name +
-                           "' section in docs/SERVICE.md"});
-      begin = end + 1;
+
+    auto report = [&](std::size_t pos, const std::string& detail,
+                      const std::string& message) {
+      out.push_back({"lint/doc-drift", wire_rel, wire->line_of(pos), detail,
+                     message});
+    };
+    auto entries = [&](const char* macro) {
+      auto list = list_entries(wire->code, macro);
+      if (list.empty())
+        out.push_back({"lint/doc-drift", wire_rel, 1,
+                       std::string("no-list:") + macro,
+                       std::string("cannot find the ") + macro + " list"});
+      return list;
+    };
+    for (const auto& [pos, name] : entries("QDC_MESSAGE_TYPES"))
+      if (sections.count(name) == 0)
+        report(pos, "MessageType::" + name,
+               "message type '" + name + "' has no '#### " + name +
+                   "' section in docs/SERVICE.md");
+    for (const auto& [pos, name] : entries("QDC_ERROR_CODES"))
+      if (error_rows.count(name) == 0)
+        report(pos, "ErrorCode::" + name,
+               "error code '" + name +
+                   "' has no row in the Error codes table of docs/SERVICE.md");
+    std::size_t next = 0;  // admin_lines index after the previous counter
+    for (const auto& [pos, name] : entries("QDC_ADMIN_COUNTERS")) {
+      auto it = std::find(admin_lines.begin(), admin_lines.end(), name);
+      auto at = static_cast<std::size_t>(it - admin_lines.begin());
+      if (it == admin_lines.end())
+        report(pos, "AdminStats::" + name,
+               "admin counter '" + name + "' has no 'u64  " + name +
+                   "' line under '#### AdminResponse' in docs/SERVICE.md");
+      else if (at < next)
+        report(pos, "AdminStats::" + name,
+               "admin counter '" + name + "' is out of list order under "
+               "'#### AdminResponse' in docs/SERVICE.md");
+      else
+        next = at + 1;
     }
   }
 

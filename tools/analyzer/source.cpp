@@ -751,8 +751,10 @@ SourceFile lex_file(const std::string& rel, const std::string& text) {
   for (std::size_t i = 0; i < f.code.size(); ++i)
     if (f.code[i] == '\n') f.line_starts_.push_back(i + 1);
 
-  // Walk raw lines for preprocessor state (the stripper blanks the "..."
-  // of project includes, so include paths must come from the raw text).
+  // Walk lines for preprocessor state. Whether a line is a directive is
+  // decided on the stripped line, so a `#include` inside a comment is not
+  // one; the stripper blanks the "..." of project includes, so the
+  // directive text itself comes from the raw line (columns line up).
   std::istringstream raw(text);
   std::istringstream stripped(f.code);
   std::string raw_line;
@@ -762,8 +764,8 @@ SourceFile lex_file(const std::string& rel, const std::string& text) {
   while (std::getline(raw, raw_line)) {
     std::getline(stripped, code_line);
     ++lineno;
-    std::size_t first = raw_line.find_first_not_of(" \t");
-    bool is_directive = first != std::string::npos && raw_line[first] == '#';
+    std::size_t first = code_line.find_first_not_of(" \t");
+    bool is_directive = first != std::string::npos && code_line[first] == '#';
     if (is_directive) {
       std::string directive = raw_line.substr(first + 1);
       std::size_t d = directive.find_first_not_of(" \t");

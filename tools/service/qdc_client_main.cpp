@@ -1,8 +1,8 @@
 // qdc_client — command-line client for the experiment service.
 //
 // Speaks the docs/SERVICE.md wire protocol through service::ServiceClient
-// and prints machine-greppable key=value lines (the service-smoke CI job
-// and tools/service_smoke.py parse them). `result_hex` is the canonical
+// and prints machine-greppable key=value lines (tools/service_smoke.py,
+// the service.smoke ctest, parses them). `result_hex` is the canonical
 // result payload verbatim, so two invocations can be compared for the
 // byte-identity guarantee without a separate tool.
 //
@@ -37,7 +37,7 @@ int usage() {
                "usage: qdc_client --socket PATH "
                "(submit|poll|cancel|admin|shutdown) [options]\n"
                "  submit: --topology path|cycle|tree|gnm|lb_network --algo"
-               "census|leader|mst --nodes N\n"
+               " census|leader|mst --nodes N\n"
                "          [--arity N] [--edges N] [--gamma N] [--length N] "
                "[--bandwidth N]\n"
                "          [--max-rounds N] [--topology-seed N] "
@@ -192,33 +192,10 @@ int main(int argc, char** argv) {
       if (r.error != ErrorCode::None) {
         return print_error(r.error, r.error_message);
       }
-      const qdc::service::AdminStats& s = r.stats;
-      const struct {
-        const char* name;
-        std::uint64_t value;
-      } rows[] = {
-          {"queue_depth", s.queue_depth},
-          {"queue_capacity", s.queue_capacity},
-          {"in_flight", s.in_flight},
-          {"jobs_submitted", s.jobs_submitted},
-          {"jobs_completed", s.jobs_completed},
-          {"jobs_cancelled", s.jobs_cancelled},
-          {"jobs_expired", s.jobs_expired},
-          {"jobs_failed", s.jobs_failed},
-          {"cache_hits", s.cache_hits},
-          {"cache_misses", s.cache_misses},
-          {"cache_evictions", s.cache_evictions},
-          {"cache_bytes", s.cache_bytes},
-          {"cache_capacity_bytes", s.cache_capacity_bytes},
-          {"cache_entries", s.cache_entries},
-          {"total_wall_us", s.total_wall_us},
-          {"total_compute_us", s.total_compute_us},
-          {"max_wall_us", s.max_wall_us},
-          {"max_compute_us", s.max_compute_us},
-      };
-      for (const auto& row : rows) {
-        std::printf("%s=%llu\n", row.name,
-                    static_cast<unsigned long long>(row.value));
+      for (const qdc::service::AdminCounter& c :
+           qdc::service::kAdminCounters) {
+        std::printf("%s=%llu\n", c.name,
+                    static_cast<unsigned long long>(r.stats.*c.member));
       }
       return 0;
     }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end smoke test of the experiment service daemon (CI: service-smoke).
+"""End-to-end smoke test of the experiment service daemon (ctest: service.smoke).
 
 Drives the real binaries over a real unix socket — no in-process
 shortcuts — and asserts the acceptance contract of docs/SERVICE.md:
@@ -63,20 +63,8 @@ SUBMIT_B = ["submit", "--topology", "path", "--algo", "census",
             "--nodes", "64"]
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: service_smoke.py BUILD_DIR", file=sys.stderr)
-        return 2
-    build = Path(argv[0])
-    serviced = build / "tools" / "service" / "qdc_serviced"
-    client = build / "tools" / "service" / "qdc_client"
-    for binary in (serviced, client):
-        if not binary.exists():
-            print(f"service_smoke: missing binary {binary}", file=sys.stderr)
-            return 2
-
-    tmp = tempfile.mkdtemp(prefix="qdc_smoke_")
-    socket = os.path.join(tmp, "svc.sock")
+def run_smoke(serviced: Path, client: Path, socket: str) -> None:
+    """Runs the whole scenario against one daemon on `socket`."""
     daemon = subprocess.Popen(
         [str(serviced), "--socket", socket, "--workers", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
@@ -154,6 +142,22 @@ def main(argv: list[str]) -> int:
                 daemon.wait(timeout=10)
             except subprocess.TimeoutExpired:
                 daemon.kill()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: service_smoke.py BUILD_DIR", file=sys.stderr)
+        return 2
+    build = Path(argv[0])
+    serviced = build / "tools" / "service" / "qdc_serviced"
+    client = build / "tools" / "service" / "qdc_client"
+    for binary in (serviced, client):
+        if not binary.exists():
+            print(f"service_smoke: missing binary {binary}", file=sys.stderr)
+            return 2
+
+    with tempfile.TemporaryDirectory(prefix="qdc_smoke_") as tmp:
+        run_smoke(serviced, client, os.path.join(tmp, "svc.sock"))
 
     if FAILURES:
         print(f"service_smoke: {len(FAILURES)} failure(s)", file=sys.stderr)
