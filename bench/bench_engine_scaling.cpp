@@ -69,13 +69,6 @@ using qdc::congest::Payload;
 using qdc::congest::RunStats;
 using qdc::congest::TopologyView;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 /// Round-synchronous flood with a tunable local-compute knob: every round
 /// each node folds its inbox, burns `work` hash iterations (standing in
 /// for a real program's local computation), and pushes two fields through
@@ -90,11 +83,11 @@ class ScalingProgram : public NodeProgram {
   void on_round(NodeContext& ctx, const std::vector<Incoming>& inbox) override {
     for (const Incoming& msg : inbox) {
       for (const std::int64_t f : msg.data) {
-        acc_ = mix64(acc_ ^ static_cast<std::uint64_t>(f));
+        acc_ = qdc::splitmix64(acc_ ^ static_cast<std::uint64_t>(f));
       }
     }
     for (int i = 0; i < work_; ++i) {
-      acc_ = mix64(acc_);
+      acc_ = qdc::splitmix64(acc_);
     }
     if (ctx.round() >= rounds_) {
       ctx.set_output(static_cast<std::int64_t>(acc_ & 0x7fffffff));

@@ -29,13 +29,6 @@
 // exits 1 on any mismatch, so a determinism regression can never produce a
 // plausible-looking report; the QuantumDeterminism suite pins the same
 // property in ctest.
-//
-// Each case carries "variant" ("unfused" or "fused") and "window" (the
-// FusedCircuit window of quantum/fusion.hpp; 0 for unfused). The
-// "gates_fused" case records the exact same gate sequence as "gates"; the
-// bench asserts its checksum is BIT-IDENTICAL to the unfused payload and
-// that it beats "gates" on single-thread wall time, and exits 1 if either
-// property fails.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -46,7 +39,6 @@
 #include <vector>
 
 #include "harness.hpp"
-#include "quantum/fusion.hpp"
 #include "quantum/gates.hpp"
 #include "quantum/grover.hpp"
 #include "quantum/state.hpp"
@@ -59,17 +51,10 @@ namespace {
 using qdc::quantum::Amplitude;
 using qdc::quantum::StateVector;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t fold_double(std::uint64_t acc, double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
-  return mix64(acc ^ bits);
+  return qdc::splitmix64(acc ^ bits);
 }
 
 /// The payload checksum: a fold over the raw amplitude bits, identical to
@@ -102,8 +87,6 @@ struct ThreadResult {
 
 struct CaseResult {
   std::string name;
-  std::string variant = "unfused";
-  int window = 0;  // FusedCircuit window; 0 = unfused path
   int qubits = 0;
   std::int64_t ops = 0;
   std::uint64_t checksum = 0;
@@ -129,58 +112,23 @@ struct Workload {
   std::int64_t ops = 0;
 };
 
-/// How a workload drives the statevector: the classic per-gate kernels or
-/// the fused kernel (bit-identical by contract).
-enum class Variant { kUnfused, kFused };
-
-const char* variant_name(Variant v) {
-  return v == Variant::kUnfused ? "unfused" : "fused";
-}
-
 /// The gate-kernel workload: `layers` sweeps of single-qubit and
-/// controlled pairs plus an oracle pass over a `qubits`-wide state. The
-/// fused variant records the exact same sequence into a FusedCircuit
-/// (oracles act as barriers) and replay it; circuit build + seal cost is
-/// deliberately inside the timed region — it is part of what the fused
-/// path costs.
-Workload run_gates(int qubits, int layers, qdc::util::ThreadPool* pool,
-                   Variant variant, int window) {
+/// controlled pairs plus an oracle pass over a `qubits`-wide state.
+Workload run_gates(int qubits, int layers, qdc::util::ThreadPool* pool) {
   StateVector s(qubits, pool);
   Workload w;
   for (int layer = 0; layer < layers; ++layer) {
     w.ops += 3 * qubits + (qubits - 1) + qubits / 2 + 1;
-  }
-  if (variant == Variant::kUnfused) {
-    for (int layer = 0; layer < layers; ++layer) {
-      for (int q = 0; q < qubits; ++q) s.apply(qdc::quantum::hadamard(), q);
-      for (int q = 0; q < qubits; ++q) {
-        s.apply(qdc::quantum::ry(0.1 * q + 0.01 * layer + 0.3), q);
-      }
-      for (int q = 0; q + 1 < qubits; ++q) s.cnot(q, q + 1);
-      for (int q = 1; q < qubits; q += 2) {
-        s.apply_controlled(qdc::quantum::phase_t(), q - 1, q);
-      }
-      s.oracle_phase(
-          [](std::size_t i) { return (i * 2654435761ULL) % 11 == 7; });
+    for (int q = 0; q < qubits; ++q) s.apply(qdc::quantum::hadamard(), q);
+    for (int q = 0; q < qubits; ++q) {
+      s.apply(qdc::quantum::ry(0.1 * q + 0.01 * layer + 0.3), q);
     }
-  } else {
-    qdc::quantum::FusedCircuit circuit(qubits, window);
-    for (int layer = 0; layer < layers; ++layer) {
-      for (int q = 0; q < qubits; ++q) {
-        circuit.gate(qdc::quantum::hadamard(), q);
-      }
-      for (int q = 0; q < qubits; ++q) {
-        circuit.gate(qdc::quantum::ry(0.1 * q + 0.01 * layer + 0.3), q);
-      }
-      for (int q = 0; q + 1 < qubits; ++q) circuit.cnot(q, q + 1);
-      for (int q = 1; q < qubits; q += 2) {
-        circuit.controlled(qdc::quantum::phase_t(), q - 1, q);
-      }
-      circuit.oracle(
-          [](std::size_t i) { return (i * 2654435761ULL) % 11 == 7; });
+    for (int q = 0; q + 1 < qubits; ++q) s.cnot(q, q + 1);
+    for (int q = 1; q < qubits; q += 2) {
+      s.apply_controlled(qdc::quantum::phase_t(), q - 1, q);
     }
-    circuit.seal();
-    circuit.run(s);
+    s.oracle_phase(
+        [](std::size_t i) { return (i * 2654435761ULL) % 11 == 7; });
   }
   w.checksum = state_checksum(s);
   return w;
@@ -217,29 +165,25 @@ Workload run_grover(int qubits, qdc::util::ThreadPool* pool) {
       /*iterations=*/-1, pool);
   Workload w;
   w.ops = r.iterations;
-  std::uint64_t acc = mix64(static_cast<std::uint64_t>(r.found));
+  std::uint64_t acc = qdc::splitmix64(static_cast<std::uint64_t>(r.found));
   acc = fold_double(acc, r.success_probability);
-  w.checksum = mix64(acc ^ static_cast<std::uint64_t>(r.is_marked));
+  w.checksum = qdc::splitmix64(acc ^ static_cast<std::uint64_t>(r.is_marked));
   return w;
 }
 
-CaseResult run_case(const std::string& name, Variant variant, int window,
-                    int qubits, int reps,
+CaseResult run_case(const std::string& name, int qubits, int reps,
                     const std::vector<int>& thread_counts,
                     const std::function<Workload(qdc::util::ThreadPool*)>&
                         workload) {
   CaseResult result;
   result.name = name;
-  result.variant = variant_name(variant);
-  result.window = variant == Variant::kUnfused ? 0 : window;
   result.qubits = qubits;
   bool first = true;
   for (const int threads : thread_counts) {
     qdc::util::ThreadPool pool(threads);
     // Best-of-reps: the workload is deterministic, so repeated runs only
-    // differ by scheduler noise and the minimum is the honest estimate —
-    // what makes the fused-vs-unfused wall-time comparison below robust
-    // on busy shared runners.
+    // differ by scheduler noise and the minimum is the honest estimate on
+    // busy shared runners.
     double seconds = 0.0;
     Workload w;
     for (int rep = 0; rep < reps; ++rep) {
@@ -304,7 +248,7 @@ SweepResult run_sweep_section(int jobs, int job_qubits, bool smoke,
         });
     const auto stop = std::chrono::steady_clock::now();
     std::uint64_t acc = 0x243f6a8885a308d3ULL;
-    for (const std::uint64_t f : found) acc = mix64(acc ^ f);
+    for (const std::uint64_t f : found) acc = qdc::splitmix64(acc ^ f);
     if (first) {
       result.checksum = acc;
       first = false;
@@ -337,7 +281,7 @@ void write_json(const std::string& path, const std::vector<CaseResult>& cases,
   }
   out << "{\n";
   out << "  \"bench\": \"quantum_scaling\",\n";
-  out << "  \"schema_version\": 3,\n";
+  out << "  \"schema_version\": 4,\n";
   out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
   out << "  \"mode\": \"" << mode << "\",\n";
   out << "  \"hardware_threads\": "
@@ -347,8 +291,6 @@ void write_json(const std::string& path, const std::vector<CaseResult>& cases,
     const CaseResult& cr = cases[c];
     out << "    {\n";
     out << "      \"name\": \"" << cr.name << "\",\n";
-    out << "      \"variant\": \"" << cr.variant << "\",\n";
-    out << "      \"window\": " << cr.window << ",\n";
     out << "      \"qubits\": " << cr.qubits << ",\n";
     out << "      \"ops\": " << cr.ops << ",\n";
     out << "      \"checksum\": \"" << hex64(cr.checksum) << "\",\n";
@@ -409,70 +351,33 @@ int main(int argc, char** argv) {
   }
   const std::string mode = gate ? "gate" : smoke ? "smoke" : "full";
 
-  // gate: one large gate-kernel case (plus its fused twin), threads
-  // {1, 4} — big enough that per-shard work dominates pool scheduling,
-  // small enough for a PR job. Smoke keeps the state at 2^16 amplitudes so
-  // the fused-vs-unfused wall-time ordering is measurable, not noise.
+  // gate: one large gate-kernel case, threads {1, 4} — big enough that
+  // per-shard work dominates pool scheduling, small enough for a PR job.
   const int gate_qubits = gate ? 21 : smoke ? 16 : 22;
   const int layers = gate ? 3 : smoke ? 2 : 2;
   const int reduce_qubits = smoke ? 14 : 22;
   const int reduce_reps = smoke ? 2 : 8;
   const int grover_qubits = smoke ? 10 : 16;
-  const int window = qdc::quantum::kDefaultFusionWindow;
   const int reps = smoke ? 2 : 3;
   const std::vector<int> thread_counts =
       gate ? std::vector<int>{1, 4}
            : smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
 
   std::vector<CaseResult> cases;
-  const auto gates_case = [&](const std::string& name, Variant variant) {
-    return run_case(name, variant, window, gate_qubits, reps, thread_counts,
-                    [&, variant](qdc::util::ThreadPool* pool) {
-                      return run_gates(gate_qubits, layers, pool, variant,
-                                       window);
-                    });
-  };
-  cases.push_back(gates_case("gates", Variant::kUnfused));
-  cases.push_back(gates_case("gates_fused", Variant::kFused));
+  cases.push_back(run_case("gates", gate_qubits, reps, thread_counts,
+                           [&](qdc::util::ThreadPool* pool) {
+                             return run_gates(gate_qubits, layers, pool);
+                           }));
   if (!gate) {
-    cases.push_back(run_case("reduce", Variant::kUnfused, 0, reduce_qubits,
-                             reps, thread_counts,
+    cases.push_back(run_case("reduce", reduce_qubits, reps, thread_counts,
                              [&](qdc::util::ThreadPool* pool) {
                                return run_reduce(reduce_qubits, reduce_reps,
                                                  pool);
                              }));
-    cases.push_back(run_case("grover", Variant::kUnfused, 0, grover_qubits,
-                             reps, thread_counts,
+    cases.push_back(run_case("grover", grover_qubits, reps, thread_counts,
                              [&](qdc::util::ThreadPool* pool) {
                                return run_grover(grover_qubits, pool);
                              }));
-  }
-
-  // The fused contract, asserted on the live payloads: gates_fused must be
-  // BIT-IDENTICAL to gates, and fusing must actually pay on that
-  // memory-bound case at one thread.
-  {
-    const CaseResult& unfused = cases[0];
-    const CaseResult& fused = cases[1];
-    if (fused.checksum != unfused.checksum) {
-      std::cerr << "quantum_scaling: gates_fused checksum diverges from "
-                   "gates — the fused kernel broke bit-identity\n";
-      std::exit(1);
-    }
-    const double unfused_t1 = unfused.results.front().seconds;
-    const double fused_t1 = fused.results.front().seconds;
-    if (smoke) {
-      // Smoke states are small enough to sit in cache on CI runners, so
-      // the wall-time ordering is noise there; report it, don't gate.
-      std::cout << "smoke: fused-vs-unfused 1-thread gates (informational): "
-                << "fused = " << fused_t1 << " s, unfused = " << unfused_t1
-                << " s\n";
-    } else if (!(fused_t1 < unfused_t1)) {
-      std::cerr << "quantum_scaling: gates_fused is not faster than gates "
-                   "at 1 thread (fused = "
-                << fused_t1 << " s, unfused = " << unfused_t1 << " s)\n";
-      std::exit(1);
-    }
   }
 
   const int sweep_jobs = gate ? 8 : smoke ? 4 : 16;
@@ -482,7 +387,7 @@ int main(int argc, char** argv) {
 
   write_json(out_path, cases, sweep, smoke, mode);
   for (const CaseResult& cr : cases) {
-    std::cout << cr.name << " (" << cr.variant << ", qubits=" << cr.qubits
+    std::cout << cr.name << " (qubits=" << cr.qubits
               << ", ops=" << cr.ops << ")\n";
     for (const ThreadResult& tr : cr.results) {
       std::cout << "  threads=" << tr.threads

@@ -90,9 +90,13 @@ bool NodeContext::shared_bit(std::int64_t key) const {
   return (shared_hash(key) & 1u) != 0;
 }
 
+std::uint64_t shared_hash(std::uint64_t seed, std::uint64_t key) {
+  return splitmix64(seed ^ splitmix64(key));
+}
+
 std::uint64_t NodeContext::shared_hash(std::int64_t key) const {
-  return splitmix64(attached().shared_seed() ^
-                    splitmix64(static_cast<std::uint64_t>(key)));
+  return congest::shared_hash(attached().shared_seed(),
+                              static_cast<std::uint64_t>(key));
 }
 
 Network::Network(std::shared_ptr<const TopologyView> view, NetworkConfig config)

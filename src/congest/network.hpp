@@ -89,6 +89,12 @@ namespace testing {
 class NetworkTestAccess;
 }  // namespace testing
 
+/// The shared random tape: the 64-bit word at `key` under the tape seed
+/// `seed` (NetworkConfig::shared_seed). NodeContext::shared_hash reads it
+/// for a node; a driver computing a coin every node could draw on its own
+/// (dist::min_cut_keeps_edge) reads it directly.
+std::uint64_t shared_hash(std::uint64_t seed, std::uint64_t key);
+
 /// Immutable per-node view of the network plus the node's mutable
 /// input/output slots. Owned by the Network; handed to programs each round.
 class NodeContext {

@@ -150,6 +150,21 @@ LeListVerifyResult verify_least_element_list(
   return result;
 }
 
+bool min_cut_keeps_edge(std::uint64_t shared_seed, graph::EdgeId e,
+                        int level, int trial) {
+  QDC_EXPECT(e >= 0 && level >= 0 && level < 64 && trial >= 0 &&
+                 trial < (1 << 24),
+             "min_cut_keeps_edge: edge, level or trial out of range");
+  // The edge id takes the low 32 bits, the trial the next 24 and the
+  // level the top 8: no two (e, level, trial) share a key.
+  const std::uint64_t key = (static_cast<std::uint64_t>(level) << 56) |
+                            (static_cast<std::uint64_t>(trial) << 32) |
+                            static_cast<std::uint64_t>(e);
+  const std::uint64_t h = congest::shared_hash(shared_seed, key);
+  // Keep with probability 2^-level: the low `level` bits must be clear.
+  return level == 0 || (h & ((std::uint64_t{1} << level) - 1)) == 0;
+}
+
 MinCutEstimate estimate_min_cut(Network& net, const BfsTreeResult& tree,
                                 int trials_per_level) {
   QDC_EXPECT(trials_per_level >= 1, "estimate_min_cut: bad trial count");
@@ -158,25 +173,14 @@ MinCutEstimate estimate_min_cut(Network& net, const BfsTreeResult& tree,
   const int levels =
       static_cast<int>(std::ceil(std::log2(std::max(2, topo.edge_count())))) +
       2;
-  // Shared-tape coin for (edge, level, trial): both endpoints of an edge
-  // would evaluate the same hash, so the sample needs no communication.
-  // We evaluate it driver-side with the network's own tape semantics.
-  const auto keep = [&](graph::EdgeId e, int level, int trial) {
-    const std::uint64_t h =
-        std::hash<std::uint64_t>{}(static_cast<std::uint64_t>(e) * 2654435761u ^
-                                   (static_cast<std::uint64_t>(level) << 40) ^
-                                   (static_cast<std::uint64_t>(trial) << 52) ^
-                                   net.shared_seed());
-    // Keep with probability 2^-level: need `level` consecutive bits set.
-    return level == 0 || (h & ((1ull << level) - 1)) == 0;
-  };
-
   for (int level = 0; level < levels; ++level) {
     int disconnects = 0;
     for (int trial = 0; trial < trials_per_level; ++trial) {
       graph::EdgeSubset sample(topo.edge_count());
       for (graph::EdgeId e = 0; e < topo.edge_count(); ++e) {
-        if (keep(e, level, trial)) sample.insert(e);
+        if (min_cut_keeps_edge(net.shared_seed(), e, level, trial)) {
+          sample.insert(e);
+        }
       }
       net.set_subnetwork(sample);
       const auto comp = run_components(net, tree, true);

@@ -10,6 +10,8 @@
 // calculators instead).
 #pragma once
 
+#include <cstdint>
+
 #include "congest/stats.hpp"
 #include "dist/tree.hpp"
 #include "graph/graph.hpp"
@@ -59,5 +61,13 @@ struct MinCutEstimate {
 };
 MinCutEstimate estimate_min_cut(Network& net, const BfsTreeResult& tree,
                                 int trials_per_level = 3);
+
+/// The estimator's coin: whether sample `trial` of level `level` keeps
+/// edge `e`, with probability 2^-level. It reads the shared random tape
+/// under `shared_seed` at a key injective in (e, level, trial), so both
+/// endpoints of `e` could draw it without communicating, and every trial
+/// is its own sample. Requires level in [0, 64) and trial in [0, 2^24).
+bool min_cut_keeps_edge(std::uint64_t shared_seed, graph::EdgeId e,
+                        int level, int trial);
 
 }  // namespace qdc::dist

@@ -137,7 +137,6 @@ class StateVector {
 
  private:
   friend struct StateVectorTestAccess;
-  friend class FusedCircuit;  // its panel kernel writes amplitudes_ in place
 
   /// Executes body(shard, begin, end) over the injected pool (serial when
   /// none): the single dispatch point every kernel goes through. Shard

@@ -18,10 +18,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "util/expect.hpp"
 #include "util/thread_pool.hpp"
 
 namespace qdc::util {
@@ -36,9 +34,6 @@ struct ShardPlan {
 
   std::size_t items = 0;
   int shards = 1;
-  /// Shard boundaries are rounded down to a multiple of this (see
-  /// over_aligned). 1 — the over() default — leaves them untouched.
-  std::size_t align = 1;
 
   static ShardPlan over(std::size_t items) {
     ShardPlan plan;
@@ -52,35 +47,13 @@ struct ShardPlan {
     return plan;
   }
 
-  /// over(), with every shard boundary rounded down to a multiple of
-  /// `align`, so a kernel that processes items in contiguous blocks of
-  /// `align` (a fused-gate gather group, say) never sees a block split
-  /// across shards. Requires align >= 1 and items a multiple of align;
-  /// the geometry stays a pure function of (items, align), preserving the
-  /// determinism contract above. Alignment can empty a shard when a span
-  /// is narrower than `align`; run_sharded bodies see begin == end and
-  /// no-op, which is harmless.
-  static ShardPlan over_aligned(std::size_t items, std::size_t align) {
-    QDC_EXPECT(align >= 1,
-               "ShardPlan::over_aligned: align must be >= 1 (align = " +
-                   std::to_string(align) + ")");
-    QDC_EXPECT(items % align == 0,
-               "ShardPlan::over_aligned: items must be a multiple of align "
-               "(items = " +
-                   std::to_string(items) + ", align = " +
-                   std::to_string(align) + ")");
-    ShardPlan plan = over(items);
-    plan.align = align;
-    return plan;
-  }
-
   std::size_t begin(int shard) const {
     return items * static_cast<std::size_t>(shard) /
-           static_cast<std::size_t>(shards) / align * align;
+           static_cast<std::size_t>(shards);
   }
   std::size_t end(int shard) const {
     return items * (static_cast<std::size_t>(shard) + 1) /
-           static_cast<std::size_t>(shards) / align * align;
+           static_cast<std::size_t>(shards);
   }
 };
 

@@ -13,15 +13,11 @@ SweepRunner::SweepRunner(const SweepOptions& options) : options_(options) {
 }
 
 std::uint64_t SweepRunner::job_seed(std::uint64_t master_seed, int index) {
-  // splitmix64 finalizer over the master seed advanced by (index + 1)
-  // golden-ratio increments. index + 1 keeps job 0 distinct from the raw
-  // master seed itself.
-  std::uint64_t x = master_seed +
-                    0x9e3779b97f4a7c15ULL *
-                        (static_cast<std::uint64_t>(index) + 1);
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  // splitmix64 adds one more golden-ratio increment itself, so job i's
+  // seed is the master seed advanced by i + 1 increments: job 0 stays
+  // distinct from the raw master seed.
+  const auto steps = static_cast<std::uint64_t>(index);
+  return splitmix64(master_seed + steps * 0x9e3779b97f4a7c15ULL);
 }
 
 std::vector<std::exception_ptr> SweepRunner::try_run(

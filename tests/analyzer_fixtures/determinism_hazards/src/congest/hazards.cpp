@@ -1,4 +1,4 @@
-// FIXTURE: all three determinism rules fire here.
+// FIXTURE: both determinism rules and parallel/shared-write-no-slot fire.
 #include <chrono>
 #include <cstdint>
 #include <unordered_map>
@@ -17,7 +17,7 @@ void broadcast_table(Ctx& ctx,
   }
 }
 
-// Cross-shard FP accumulation inside the parallel region.
+// Cross-shard FP accumulation inside the parallel region: a shared write.
 template <typename Pool>
 double tally(Pool& pool, const double* shard_sums, int shards) {
   double total = 0.0;

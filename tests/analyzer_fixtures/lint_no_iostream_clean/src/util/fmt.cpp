@@ -1,5 +1,6 @@
 // FIXTURE: formatting into a caller's stream or buffer is not console
-// I/O; std::cout in a comment and printf( in a string are not either.
+// I/O; std::cout in a comment and printf( in a string are not either, and
+// neither is declaring a member that is merely named cout.
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
@@ -9,6 +10,10 @@ namespace qdc::util {
 void write_value(std::ostream& os, std::int64_t v) { os << v; }
 
 const char* hint() { return "call printf(...) in a bench instead"; }
+
+struct ProbeSink {
+  int cout = 0;
+};
 
 std::size_t digits(std::int64_t v) {
   std::size_t n = 1;

@@ -266,7 +266,7 @@ TEST(Network, RejectsInvalidRunOptions) {
   EXPECT_TRUE(stats.completed);
 }
 
-TEST(Network, BuiltOverImplicitViewRunsAndRefusesTopology) {
+TEST(Network, BuiltOverImplicitViewRuns) {
   Network net(std::make_shared<PathView>(6), NetworkConfig{});
   EXPECT_EQ(net.node_count(), 6);
   net.install([](NodeId, const NodeContext&) {

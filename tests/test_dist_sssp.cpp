@@ -2,12 +2,15 @@
 // the sampling min-cut estimator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "congest/network.hpp"
 #include "dist/sssp.hpp"
 #include "dist/tree.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "graph/shortest_paths.hpp"
+#include "util/expect.hpp"
 #include "util/rng.hpp"
 
 namespace qdc::dist {
@@ -109,6 +112,25 @@ TEST(MinCutEstimate, OrdersCutSizesCorrectly) {
 
   EXPECT_LT(est1.estimate * 2, est2.estimate)
       << "bridge graph (cut 1) vs K20 (cut 19)";
+}
+
+TEST(MinCutEstimate, TrialsOfOneLevelKeepDifferentEdgeSets) {
+  // The majority vote over trials means something only if each trial is
+  // its own sample: the coin must depend on the trial, not just on the
+  // edge and the level.
+  const std::uint64_t seed = congest::NetworkConfig{}.shared_seed;
+  for (const int level : {1, 2, 5}) {
+    graph::EdgeSubset first(256);
+    graph::EdgeSubset second(256);
+    for (graph::EdgeId e = 0; e < 256; ++e) {
+      if (min_cut_keeps_edge(seed, e, level, 0)) first.insert(e);
+      if (min_cut_keeps_edge(seed, e, level, 1)) second.insert(e);
+    }
+    EXPECT_NE(first.to_vector(), second.to_vector()) << "level " << level;
+    EXPECT_GT(first.size(), 0) << "level " << level;
+  }
+  EXPECT_THROW(min_cut_keeps_edge(seed, 0, 64, 0), ContractError);
+  EXPECT_THROW(min_cut_keeps_edge(seed, 0, 1, -1), ContractError);
 }
 
 }  // namespace

@@ -225,9 +225,14 @@ std::string qname_prefix(const std::string& code, std::size_t name_pos) {
   return prefix;
 }
 
-/// Parallel entry points whose closure arguments become PoolClosures.
-const char* kEntryTokens[] = {"run_sharded", "for_shards",   "dispatch",
-                              "submit",      "parallel_for", "try_run"};
+/// Parallel entry points whose closure arguments become PoolClosures:
+/// util::run_sharded, StateVector::for_shards, Network::dispatch_list (the
+/// round engine's compute, deliver and reset phases) and
+/// SweepRunner::try_run, plus the generic pool shapes dispatch, submit and
+/// parallel_for.
+const char* kEntryTokens[] = {"run_sharded", "for_shards", "dispatch_list",
+                              "try_run",     "dispatch",   "submit",
+                              "parallel_for"};
 
 }  // namespace
 

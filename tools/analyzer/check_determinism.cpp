@@ -8,12 +8,6 @@
 //       sends, merged stats, appended/returned containers, or compound
 //       accumulation. Hash iteration order is implementation-defined, so
 //       any escape breaks the bit-determinism the engine guarantees.
-//   determinism/fp-accumulation      float/double compound accumulation
-//       inside a lambda handed to the round engine or thread pool
-//       (dispatch/submit/parallel_for). Cross-shard FP addition is
-//       order-sensitive; merges must happen in shard-index order outside
-//       the parallel region. (std::atomic<float|double> moved to
-//       parallel/atomic-float.)
 //   determinism/wall-clock           wall-clock or time-seeded calls in
 //       src/ (chrono clocks, time(), random_device, ...). All randomness
 //       and timing must flow through seeded Rng / RunStats.
@@ -78,17 +72,13 @@ class DeterminismCheck final : public Check {
  public:
   const char* name() const override { return "determinism"; }
   const char* description() const override {
-    return "unordered iteration escapes, cross-shard FP accumulation, "
-           "wall-clock calls";
+    return "unordered iteration escapes, wall-clock calls";
   }
   std::vector<RuleMeta> rules() const override {
     return {
         {"determinism/unordered-iteration",
          "iteration order of a std::unordered_* container escapes into "
          "engine-visible state"},
-        {"determinism/fp-accumulation",
-         "float/double compound accumulation inside a parallel-region "
-         "lambda: cross-shard FP addition is order-sensitive"},
         {"determinism/wall-clock",
          "wall-clock / nondeterministic source in library code; runs must "
          "be a pure function of (input, seed)"},
@@ -100,7 +90,6 @@ class DeterminismCheck final : public Check {
     (void)ctx;
     if (f.module_name.empty()) return;
     check_wall_clock(f, out);
-    check_fp_accumulation(f, out);
     static const std::set<std::string> kOrderSensitive = {
         "congest", "dist", "graph", "core"};
     if (kOrderSensitive.count(f.module_name) != 0)
@@ -129,53 +118,6 @@ class DeterminismCheck final : public Check {
         out.push_back({"determinism/wall-clock", f.rel, f.line_of(pos),
                        "time()", "time() seeds depend on the wall clock; "
                        "use an explicit seed"});
-      }
-    }
-  }
-
-  static void check_fp_accumulation(const SourceFile& f,
-                                    std::vector<Diagnostic>& out) {
-    // float/double vars declared anywhere in this file.
-    std::set<std::string> fp_vars;
-    for (const char* ty : {"double", "float"}) {
-      std::size_t pos = 0;
-      while ((pos = find_token(f.code, ty, pos)) != std::string::npos) {
-        std::size_t i = skip_space(f.code, pos + std::string(ty).size());
-        std::string var = read_ident_at(f.code, i);
-        if (!var.empty()) fp_vars.insert(var);
-        pos = i == pos ? pos + 1 : i;
-      }
-    }
-    if (fp_vars.empty()) return;
-
-    // Compound FP assignment inside a parallel-region call.
-    for (const char* entry : {"dispatch", "submit", "parallel_for"}) {
-      std::size_t pos = 0;
-      while ((pos = find_token(f.code, entry, pos)) != std::string::npos) {
-        std::size_t open = skip_space(f.code, pos + std::string(entry).size());
-        if (open >= f.code.size() || f.code[open] != '(') {
-          pos = open;
-          continue;
-        }
-        std::size_t close = match_bracket(f.code, open, '(', ')');
-        if (close == std::string::npos) break;
-        std::string region = f.code.substr(open, close - open);
-        for (const char* op : {"+=", "-="}) {
-          std::size_t at = 0;
-          while ((at = region.find(op, at)) != std::string::npos) {
-            std::string lhs = ident_before(region, at);
-            if (fp_vars.count(lhs) != 0) {
-              out.push_back(
-                  {"determinism/fp-accumulation", f.rel,
-                   f.line_of(open + at), lhs,
-                   "floating-point accumulation into '" + lhs + "' inside " +
-                       entry + "(): cross-shard FP addition is order-"
-                       "sensitive; tally per shard, merge in shard order"});
-            }
-            at += 2;
-          }
-        }
-        pos = close;
       }
     }
   }

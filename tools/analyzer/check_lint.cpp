@@ -115,6 +115,31 @@ bool is_member_or_qualified(const std::string& code, std::size_t pos) {
   return c == '.' || (c == '>' && b == '-') || (c == ':' && b == ':');
 }
 
+/// The token at `pos` is the name a declaration declares: the code before
+/// it (blanks and one `*` or `&` skipped) ends in a type, i.e. a template's
+/// closing `>` or an identifier that is not a keyword taking an
+/// expression. `int cout = 0;` and `std::ostream& cout` qualify; `cout <<`
+/// at a statement start, `return cout`, `f(&cout)` and `ok && cout` do not.
+bool is_declarator(const std::string& code, std::size_t pos) {
+  const auto skip_back = [&] {
+    while (pos > 0 && std::isspace(static_cast<unsigned char>(code[pos - 1])))
+      --pos;
+  };
+  skip_back();
+  if (pos > 0 && (code[pos - 1] == '*' || code[pos - 1] == '&')) {
+    --pos;
+    if (pos > 0 && (code[pos - 1] == '*' || code[pos - 1] == '&'))
+      return false;
+    skip_back();
+  }
+  if (pos == 0) return false;
+  if (code[pos - 1] == '>') return true;
+  static const std::set<std::string> kExpressionKeywords = {
+      "return", "co_return", "co_yield", "throw", "case", "else", "do"};
+  const std::string word = ident_before(code, pos);
+  return !word.empty() && kExpressionKeywords.count(word) == 0;
+}
+
 /// (offset, name) of every rand( / srand( call.
 std::vector<std::pair<std::size_t, std::string>> rand_calls(
     const std::string& code) {
@@ -273,10 +298,13 @@ class LintCheck final : public Check {
     for (const auto& [pos, name] : std_names(f.code))
       if (name == "cout" || name == "cerr" || name == "clog")
         io.emplace_back(pos, "std::" + name);
-    // Unqualified streams, as after a `using namespace std;`.
+    // Unqualified streams, as after a `using namespace std;`; a member or
+    // variable that is merely named like one is not a stream.
     for (const char* stream : {"cout", "cerr", "clog"})
       for (std::size_t pos : token_hits(f.code, stream, '\0'))
-        if (!is_member_or_qualified(f.code, pos)) io.emplace_back(pos, stream);
+        if (!is_member_or_qualified(f.code, pos) &&
+            !is_declarator(f.code, pos))
+          io.emplace_back(pos, stream);
     for (const char* fn : {"printf", "fprintf", "sprintf"})
       for (std::size_t pos : token_hits(f.code, fn, '('))
         io.emplace_back(pos, fn);

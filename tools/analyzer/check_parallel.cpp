@@ -21,9 +21,7 @@
 //       Such writes race and make results depend on thread interleaving.
 //   parallel/atomic-float          any std::atomic<float|double>: atomic FP
 //       accumulation commits in scheduling order, so totals differ run to
-//       run. (Moved here from determinism/fp-accumulation; atomics are a
-//       parallelism construct.) Integer atomics pass — their final value is
-//       order-free.
+//       run. Integer atomics pass — their final value is order-free.
 //   parallel/false-sharing         a per-shard slot container (a
 //       std::vector/std::array of a corpus-declared struct, either named
 //       *shard* or written via a shard-indexed slot inside a parallel

@@ -14,14 +14,12 @@ document's "bench" key:
     "materialized", "path", "lb_network") and "frontier" (whether the run
     used the event-driven wake rule, RunOptions::frontier, instead of
     re-waking every live node each round).
-  * "quantum_scaling" (schema v3, bench_quantum_scaling): statevector
+  * "quantum_scaling" (schema v4, bench_quantum_scaling): statevector
     kernel cases with ops_per_sec results, a per-case payload checksum
     (0x + 16 hex digits — the amplitude-bit fold the bench asserts equal
-    across thread counts), and a Grover sweep section. Each case carries
-    "variant" ("unfused" or "fused" — which kernel family ran, see
-    src/quantum/fusion.hpp) and "window" (0 for unfused, else the
-    FusedCircuit window in [2, kMaxFusionWindow]). v3 renamed "window"
-    from v2's "fusion_window".
+    across thread counts), and a Grover sweep section. v4 dropped v3's
+    per-case "variant" and "window" keys with the gate-fusion kernel they
+    described: every case runs the per-gate kernels.
 
 Both share the value-sanity core (positive timings, threads=1 / workers=1
 baseline present, no duplicate thread counts) so CI catches a bench that
@@ -52,11 +50,6 @@ ERRORS: list[str] = []
 # can carry a wider statevector than the simulator accepts.
 MAX_QUBITS = 24
 
-# Mirrors qdc::quantum::kMaxFusionWindow and the kernel variants of
-# src/quantum/fusion.hpp.
-MAX_FUSION_WINDOW = 6
-QUANTUM_VARIANTS = ("unfused", "fused")
-
 # Speedup gates, one row each: (bench, numerator case@threads, denominator
 # case@threads, minimum ratio, skip rule). The ratio is the numerator's rate
 # over the denominator's; both cases of a row do the same work, so it is
@@ -66,18 +59,16 @@ QUANTUM_VARIANTS = ("unfused", "fused")
 #     node, on ~1 active node per round;
 #   * quantum parallel: the gate kernels at 4 threads vs 1 — a lower bar,
 #     since they stream every amplitude through memory once per gate and
-#     saturate bandwidth well before the round engine does;
-#   * quantum fused: one full-state pass per fused window vs one per gate.
+#     saturate bandwidth well before the round engine does.
 GATES = (
     ("engine_scaling", "lb_network@4", "lb_network@1", 1.5, "parallel"),
     ("engine_scaling", "sparse_activity_frontier@1",
      "sparse_activity_dense@1", 2.0, "never"),
     ("quantum_scaling", "gates@4", "gates@1", 1.3, "parallel"),
-    ("quantum_scaling", "gates_fused@1", "gates@1", 1.5, "fused"),
 )
 
-# Parallel ratios need this many hardware threads to be measurable; a
-# single-thread ratio is measurable anywhere.
+# Parallel ratios need this many hardware threads to be measurable; the
+# frontier row's single-thread ratio is measurable anywhere.
 GATE_THREADS = 4
 
 
@@ -89,19 +80,10 @@ def _few_threads(doc: dict) -> str | None:
     return None
 
 
-def _smoke(doc: dict) -> str | None:
-    if doc.get("mode") == "smoke":
-        return "smoke-mode states are cache-resident"
-    return None
-
-
 # Each rule returns the reason to skip a row on this report, or None.
 SKIP_RULES = {
     "never": lambda doc: None,
     "parallel": _few_threads,
-    # The fused claim is settled by the fusion work, not here: it keeps the
-    # skips it had when it was its own script.
-    "fused": lambda doc: _smoke(doc) or _few_threads(doc),
 }
 
 RATE_KEYS = {"engine_scaling": "rounds_per_sec",
@@ -201,20 +183,6 @@ def check_engine_sweep(sweep: dict, where: str) -> None:
 
 def check_quantum_case(case: dict, where: str) -> None:
     expect_key(case, "name", str, where)
-    variant = expect_key(case, "variant", str, where)
-    if variant is not None and variant not in QUANTUM_VARIANTS:
-        known = ", ".join(QUANTUM_VARIANTS)
-        fail(f"{where}: variant must be one of {known}, got '{variant}'")
-    window = expect_key(case, "window", int, where)
-    if window is not None and variant is not None:
-        if variant == "unfused":
-            if window != 0:
-                fail(f"{where}: window must be 0 for the unfused "
-                     f"variant, got {window}")
-        elif not 2 <= window <= MAX_FUSION_WINDOW:
-            fail(f"{where}: window must be in "
-                 f"[2, {MAX_FUSION_WINDOW}] for fused variants, "
-                 f"got {window}")
     qubits = expect_key(case, "qubits", int, where)
     ops = expect_key(case, "ops", int, where)
     if qubits is not None and not 1 <= qubits <= MAX_QUBITS:
@@ -246,7 +214,7 @@ def check_quantum_sweep(sweep: dict, where: str) -> None:
 
 SCHEMAS = {
     "engine_scaling": (3, check_engine_case, check_engine_sweep),
-    "quantum_scaling": (3, check_quantum_case, check_quantum_sweep),
+    "quantum_scaling": (4, check_quantum_case, check_quantum_sweep),
 }
 
 

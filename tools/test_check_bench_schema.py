@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Unit tests for tools/check_bench_schema.py (run as CTest lint.bench_schema_unit).
 
-Covers: a valid engine schema-v3 document, a valid quantum schema-v3
+Covers: a valid engine schema-v3 document, a valid quantum schema-v4
 document, missing keys, wrong types, value-sanity rules, the v3
 topology_kind / frontier case keys, the checksum format, the sweep-section
 rules, and pass / regression / skip / missing-case for every row of the
@@ -62,15 +62,13 @@ def valid_document() -> dict:
 def valid_quantum_document() -> dict:
     return {
         "bench": "quantum_scaling",
-        "schema_version": 3,
+        "schema_version": 4,
         "smoke": False,
         "mode": "full",
         "hardware_threads": 8,
         "cases": [
             {
                 "name": "gates",
-                "variant": "unfused",
-                "window": 0,
                 "qubits": 22,
                 "ops": 152,
                 "checksum": "0xb93a75acf3f0d53f",
@@ -247,48 +245,14 @@ class QuantumDocumentTest(unittest.TestCase):
     def test_valid_document_passes(self):
         self.assertEqual(self.check(valid_quantum_document()), [])
 
-    def test_quantum_requires_schema_version_3(self):
-        # v1 documents lack variant and the window key, and v2 documents
-        # name it fusion_window; the version bump forces regeneration
-        # rather than silently accepting stale reports.
-        for old in (1, 2):
+    def test_quantum_requires_schema_version_4(self):
+        # v3 still carries the deleted fused variant's "variant" and
+        # "window" keys, and older reports predate them; the version bump
+        # forces regeneration rather than silently accepting stale reports.
+        for old in (1, 2, 3):
             doc = valid_quantum_document()
             doc["schema_version"] = old
             self.assert_violation(doc, f"unsupported schema_version {old}")
-
-    def test_case_missing_variant(self):
-        doc = valid_quantum_document()
-        del doc["cases"][0]["variant"]
-        self.assert_violation(doc, "missing key 'variant'")
-
-    def test_case_unknown_variant(self):
-        doc = valid_quantum_document()
-        doc["cases"][0]["variant"] = "hyperfused"
-        self.assert_violation(doc, "variant must be one of")
-
-    def test_case_missing_window(self):
-        doc = valid_quantum_document()
-        del doc["cases"][0]["window"]
-        self.assert_violation(doc, "missing key 'window'")
-
-    def test_unfused_case_requires_zero_window(self):
-        doc = valid_quantum_document()
-        doc["cases"][0]["window"] = 4
-        self.assert_violation(doc, "window must be 0 for the unfused")
-
-    def test_fused_case_passes_with_window_in_range(self):
-        doc = valid_quantum_document()
-        doc["cases"][0]["name"] = "gates_fused"
-        doc["cases"][0]["variant"] = "fused"
-        doc["cases"][0]["window"] = 5
-        self.assertEqual(self.check(doc), [])
-
-    def test_fused_case_window_out_of_range(self):
-        for bad in (0, 1, 7):
-            doc = valid_quantum_document()
-            doc["cases"][0]["variant"] = "fused"
-            doc["cases"][0]["window"] = bad
-            self.assert_violation(doc, "window must be in [2, 6]")
 
     def test_missing_checksum(self):
         doc = valid_quantum_document()
@@ -371,12 +335,7 @@ def gate_ready_document(bench: str) -> dict:
         ]
     else:
         doc = valid_quantum_document()
-        doc["cases"] = [
-            rate_case(doc, "gates", {1: 50.0, 4: 150.0}),
-            rate_case(doc, "gates_fused", {1: 100.0}),
-        ]
-        doc["cases"][1]["variant"] = "fused"
-        doc["cases"][1]["window"] = 5
+        doc["cases"] = [rate_case(doc, "gates", {1: 50.0, 4: 150.0})]
     doc["mode"] = "gate"
     doc["hardware_threads"] = 4
     return doc
@@ -417,14 +376,13 @@ class GateTableTest(unittest.TestCase):
             with self.subTest(row=row):
                 body(row, gate_ready_document(row[0]))
 
-    def test_table_keeps_the_four_thresholds(self):
+    def test_table_keeps_the_three_thresholds(self):
         self.assertEqual(
             [(num, den, threshold)
              for _, num, den, threshold, _ in check_bench_schema.GATES],
             [("lb_network@4", "lb_network@1", 1.5),
              ("sparse_activity_frontier@1", "sparse_activity_dense@1", 2.0),
-             ("gates@4", "gates@1", 1.3),
-             ("gates_fused@1", "gates@1", 1.5)])
+             ("gates@4", "gates@1", 1.3)])
 
     def test_each_row_passes(self):
         self.for_each_row(
@@ -452,18 +410,17 @@ class GateTableTest(unittest.TestCase):
             self.assertEqual(self.verdict(doc, row), "MISSING")
         self.for_each_row(body)
 
-    def test_only_parallel_and_fused_rows_skip_below_four_threads(self):
+    def test_only_parallel_rows_skip_below_four_threads(self):
         def body(row, doc):
             doc["hardware_threads"] = 2
             want = "OK" if row[4] == "never" else "SKIPPED"
             self.assertEqual(self.verdict(doc, row), want)
         self.for_each_row(body)
 
-    def test_only_the_fused_row_skips_in_smoke_mode(self):
+    def test_no_row_skips_in_smoke_mode(self):
         def body(row, doc):
             doc["mode"] = "smoke"
-            want = "SKIPPED" if row[4] == "fused" else "OK"
-            self.assertEqual(self.verdict(doc, row), want)
+            self.assertEqual(self.verdict(doc, row), "OK")
         self.for_each_row(body)
 
     def test_a_skipped_row_cannot_hide_a_regression_elsewhere(self):
