@@ -17,13 +17,6 @@ namespace {
 /// halt bookkeeping). Feeds the degree-weighted shard boundaries.
 constexpr std::int64_t kNodeWorkBias = 4;
 
-/// Inbox handed to frontier-activated nodes whose buffered inbox is stale
-/// (they were woken, not delivered to).
-const std::vector<Incoming>& empty_inbox() {
-  static const std::vector<Incoming> kEmpty;
-  return kEmpty;
-}
-
 }  // namespace
 
 const Network& NodeContext::attached() const {
@@ -74,11 +67,6 @@ void NodeContext::send(int port, const Payload& message) {
   network_->stage_fields(*this, port, message.data(), message.size());
 }
 
-void NodeContext::send(int port, Payload&& message) {
-  attached();
-  network_->stage_fields(*this, port, message.data(), message.size());
-}
-
 void NodeContext::send_all(const Payload& message) {
   attached();
   for (int p = 0; p < degree_; ++p) {
@@ -106,9 +94,7 @@ Network::Network(std::shared_ptr<const TopologyView> view, NetworkConfig config)
   n_ = view_->node_count();
   const int m = view_->edge_count();
   contexts_.resize(static_cast<std::size_t>(n_));
-  for (auto& buffer : inboxes_) {
-    buffer.resize(static_cast<std::size_t>(n_));
-  }
+  inboxes_.resize(static_cast<std::size_t>(n_));
 
   // CSR port tables. Filling them validates the view: every port's edge
   // must connect the node to the reported peer, and every edge must be
@@ -194,7 +180,6 @@ Network::Network(std::shared_ptr<const TopologyView> view, NetworkConfig config)
   std::iota(all_shards_.begin(), all_shards_.end(), 0);
   active_.resize(static_cast<std::size_t>(shard_count));
   recv_work_.resize(static_cast<std::size_t>(shard_count));
-  inbox_stamp_.assign(static_cast<std::size_t>(n_), -2);
 }
 
 Network::Network(graph::Graph topology, NetworkConfig config)
@@ -224,7 +209,6 @@ void Network::install(const ProgramFactory& factory) {
   trace_.clear();
   trace_recorded_ = false;
   round_ = 0;
-  inbox_cur_ = 0;
   for (ShardArena& arena : arenas_) {
     arena.fields.clear();
     arena.records.clear();
@@ -237,9 +221,7 @@ void Network::install(const ProgramFactory& factory) {
     ctx.output_.reset();
     ctx.halted_ = false;
     ctx.wake_ = false;
-    for (auto& buffer : inboxes_) {
-      buffer[static_cast<std::size_t>(u)].clear();
-    }
+    inboxes_[static_cast<std::size_t>(u)].clear();
     programs_.push_back(factory(u, ctx));
     QDC_EXPECT(programs_.back() != nullptr,
                "Network::install: factory returned null");
@@ -281,8 +263,13 @@ void Network::stage_fields(NodeContext& ctx, int port,
             "CONGEST bandwidth exceeded: a node tried to push more than B "
             "fields through one edge in one round");
   used += static_cast<int>(count);
+  append_staged(ctx.id_, gp, fields, count);
+}
+
+void Network::append_staged(NodeId u, std::int64_t gp,
+                            const std::int64_t* fields, std::size_t count) {
   ShardArena& arena =
-      arenas_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(ctx.id_)])];
+      arenas_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(u)])];
   const auto offset = static_cast<std::uint32_t>(arena.fields.size());
   arena.fields.insert(arena.fields.end(), fields, fields + count);
   const auto rec = static_cast<std::int32_t>(arena.records.size());
@@ -302,10 +289,13 @@ void Network::compute_frontier_shard(int shard, bool wake_all,
   ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(shard)];
   scratch.halted.clear();
   scratch.wake.clear();
-  const auto& inbox = inboxes_[static_cast<std::size_t>(inbox_cur_)];
-  const auto compute = [&](NodeId u, const std::vector<Incoming>& box) {
+  // Every scheduled node's inbox holds exactly what the previous round
+  // delivered to it: that round's delivery rewrote each receiver's inbox
+  // and emptied each waker's that received nothing.
+  const auto compute = [&](NodeId u) {
     auto& ctx = contexts_[static_cast<std::size_t>(u)];
-    programs_[static_cast<std::size_t>(u)]->on_round(ctx, box);
+    programs_[static_cast<std::size_t>(u)]->on_round(
+        ctx, inboxes_[static_cast<std::size_t>(u)]);
     if (ctx.wake_) {
       ctx.wake_ = false;
       if (frontier && !ctx.halted_) scratch.wake.push_back(u);
@@ -313,21 +303,13 @@ void Network::compute_frontier_shard(int shard, bool wake_all,
     if (ctx.halted_) scratch.halted.push_back(u);
   };
   if (wake_all) {
-    // Every inbox is fresh: the previous round, if any, was a wake-all
-    // round too, and its delivery rewrote every node's inbox.
     const auto [begin, end] = shards_[static_cast<std::size_t>(shard)];
     for (NodeId u = begin; u < end; ++u) {
-      if (!contexts_[static_cast<std::size_t>(u)].halted_) {
-        compute(u, inbox[static_cast<std::size_t>(u)]);
-      }
+      if (!contexts_[static_cast<std::size_t>(u)].halted_) compute(u);
     }
   } else {
-    // A buffered inbox is fresh only if the previous round's delivery
-    // rewrote it; a node woken without a delivery sees an empty inbox.
     for (const NodeId u : active_[static_cast<std::size_t>(shard)]) {
-      compute(u, inbox_stamp_[static_cast<std::size_t>(u)] == round_ - 1
-                     ? inbox[static_cast<std::size_t>(u)]
-                     : empty_inbox());
+      compute(u);
     }
   }
 }
@@ -335,8 +317,7 @@ void Network::compute_frontier_shard(int shard, bool wake_all,
 bool Network::deliver_node(NodeId v, int shard, bool record_trace,
                            ModelAuditor* auditor) {
   ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(shard)];
-  auto& box = inboxes_[static_cast<std::size_t>(1 - inbox_cur_)]
-                      [static_cast<std::size_t>(v)];
+  auto& box = inboxes_[static_cast<std::size_t>(v)];
   const auto& rctx = contexts_[static_cast<std::size_t>(v)];
   const bool receiver_halted = rctx.halted_;
   std::size_t used = 0;
@@ -376,7 +357,6 @@ bool Network::deliver_node(NodeId v, int shard, bool record_trace,
     }
   }
   box.resize(used);
-  inbox_stamp_[static_cast<std::size_t>(v)] = round_;
   return used > 0;
 }
 
@@ -407,6 +387,13 @@ void Network::deliver_frontier_shard(int shard, bool wake_all, bool frontier,
     }
   }
   if (!frontier) return;
+  // A waker that received nothing must see an empty inbox next round, not
+  // the one it read this round (recv is sorted).
+  for (const NodeId v : scratch.wake) {
+    if (!std::binary_search(recv.begin(), recv.end(), v)) {
+      inboxes_[static_cast<std::size_t>(v)].clear();
+    }
+  }
   // Next frontier: the union of this round's receivers and wake requests
   // (both sorted), less the halted.
   auto& next = active_[static_cast<std::size_t>(shard)];
@@ -456,9 +443,7 @@ RunStats Network::run(const RunOptions& options) {
   ensure_pool(threads);
   trace_.clear();
   trace_recorded_ = record_trace;
-  for (auto& buffer : inboxes_) {
-    for (auto& box : buffer) box.clear();
-  }
+  for (auto& box : inboxes_) box.clear();
 
   RunStats stats;
   ModelAuditor auditor(*view_, config_.bandwidth);
@@ -602,7 +587,6 @@ void Network::run_rounds(const RunOptions& options, bool record_trace,
       trace_.push_back(std::move(round_trace));
     }
     if (audit != nullptr) audit->end_round();
-    inbox_cur_ = 1 - inbox_cur_;
     if (live_count_ == 0) {
       stats.rounds = round_ + 1;
       stats.completed = true;
@@ -649,21 +633,7 @@ void Network::stage_unchecked_for_test(NodeId u, int port, Payload message) {
              "Network::stage_unchecked_for_test: empty message");
   // Deliberately skips the port_used_ budget charge: the next audited run
   // must catch the resulting under-count.
-  const std::int64_t gp = ctx.first_port_ + port;
-  ShardArena& arena = arenas_[static_cast<std::size_t>(
-      shard_of_[static_cast<std::size_t>(u)])];
-  const auto offset = static_cast<std::uint32_t>(arena.fields.size());
-  arena.fields.insert(arena.fields.end(), message.begin(), message.end());
-  const auto rec = static_cast<std::int32_t>(arena.records.size());
-  arena.records.push_back(
-      StagedRec{gp, -1, offset, static_cast<std::uint32_t>(message.size())});
-  std::int32_t& tail = staged_tail_[static_cast<std::size_t>(gp)];
-  if (tail >= 0) {
-    arena.records[static_cast<std::size_t>(tail)].next = rec;
-  } else {
-    staged_head_[static_cast<std::size_t>(gp)] = rec;
-  }
-  tail = rec;
+  append_staged(u, ctx.first_port_ + port, message.data(), message.size());
 }
 
 void Network::set_stats_tamper_for_test(std::function<void(RunStats&)> tamper) {

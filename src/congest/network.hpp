@@ -34,7 +34,9 @@
 // therefore bit-identical for any RunOptions::threads value. Within one
 // receiver's inbox, messages are ordered by the receiver's port index
 // (i.e. by (edge, direction)), then by the sender's staging order on that
-// edge.
+// edge. Compute and delivery are separate phases that never overlap, so
+// each node has a single inbox: a round's delivery rewrites it only after
+// that round's compute has read it.
 //
 // One round loop, two wake rules (RunOptions::frontier). Each round
 // computes a frontier of live nodes; round 0's frontier is every live node,
@@ -62,7 +64,6 @@
 // with each other if the network is run with threads > 1.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -125,7 +126,6 @@ class NodeContext {
   /// budget for this round is exceeded. The fields are staged in the
   /// node's shard arena — no per-message allocation in steady state.
   void send(int port, const Payload& message);
-  void send(int port, Payload&& message);
 
   /// Send the same message through every port (costs bandwidth on each).
   /// Stages the fields directly; the payload is never copied per port.
@@ -305,6 +305,10 @@ class Network {
   /// Budget-checked staging used by NodeContext::send.
   void stage_fields(NodeContext& ctx, int port, const std::int64_t* fields,
                     std::size_t count);
+  /// Appends one record of `count` fields to u's shard arena and links it
+  /// at the end of global port `gp`'s chain. Checks nothing.
+  void append_staged(NodeId u, std::int64_t gp, const std::int64_t* fields,
+                     std::size_t count);
 
   /// Test-only hooks, reachable through congest::testing::NetworkTestAccess.
   void stage_unchecked_for_test(NodeId u, int port, Payload message);
@@ -354,12 +358,12 @@ class Network {
   std::vector<NodeContext> contexts_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
 
-  // Double-buffered inboxes: compute reads inboxes_[inbox_cur_], delivery
-  // writes inboxes_[1 - inbox_cur_], and the buffers swap between rounds.
-  // Incoming slots are reused, so steady-state delivery reallocates only
-  // when a round delivers more to a node than any previous round did.
-  std::array<std::vector<std::vector<Incoming>>, 2> inboxes_;
-  int inbox_cur_ = 0;
+  // One inbox per node. A round's compute phase reads it and the same
+  // round's delivery phase, which starts only after every compute has
+  // returned, rewrites it. Incoming slots are reused, so steady-state
+  // delivery reallocates only when a round delivers more to a node than
+  // the last delivery to it did.
+  std::vector<std::vector<Incoming>> inboxes_;
 
   // Engine sharding: contiguous node ranges placed along the cumulative
   // degree-work curve (util::WeightedShardPlan) — fixed by the topology
@@ -377,15 +381,12 @@ class Network {
   // Round scheduling. all_shards_ lists every shard (a wake-all round's
   // work list). Under the event-driven rule active_ holds the sorted
   // per-shard frontier and recv_work_ the per-shard receivers of the
-  // current round. inbox_stamp_[v] is the last round whose delivery phase
-  // rewrote v's inbox; round 0 rewrites every inbox, so no stamp from an
-  // earlier run survives into a round that reads one.
+  // current round.
   std::vector<int> all_shards_;
   std::vector<std::vector<NodeId>> active_;
   std::vector<std::vector<NodeId>> recv_work_;
   std::vector<int> active_shards_;
   std::vector<int> deliver_shards_;
-  std::vector<int> inbox_stamp_;
   std::vector<NodeId> computed_flat_;
   std::vector<NodeId> newly_halted_;
   std::int64_t live_count_ = 0;

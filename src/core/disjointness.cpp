@@ -52,7 +52,7 @@ class StreamDisjointnessProgram : public congest::NodeProgram {
         chunk.push_back(buffer_.front() ? 1 : 0);
         buffer_.erase(buffer_.begin());
       }
-      ctx.send(right, std::move(chunk));
+      ctx.send(right, chunk);
     }
     // The sink decides once it has all bits.
     if (is_sink && !decided_ && buffer_.size() == y_.size()) {

@@ -173,7 +173,7 @@ class AggregateProgram : public congest::NodeProgram {
       } else {
         Payload msg{kUp};
         msg.insert(msg.end(), acc_.begin(), acc_.end());
-        ctx.send(tree_.parent_port, std::move(msg));
+        ctx.send(tree_.parent_port, msg);
       }
     }
   }
@@ -286,7 +286,7 @@ class GatherProgram : public congest::NodeProgram {
     for (; sent < rate_ && !queue_.empty(); ++sent) {
       Payload msg{kItem};
       msg.insert(msg.end(), queue_.back().begin(), queue_.back().end());
-      ctx.send(tree_.parent_port, std::move(msg));
+      ctx.send(tree_.parent_port, msg);
       queue_.pop_back();
     }
     // The done marker waits for an item-free round so the edge budget is

@@ -1,5 +1,6 @@
 #include "service/job_queue.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/expect.hpp"
@@ -49,7 +50,6 @@ std::vector<std::uint64_t> JobQueue::pop_batch(int max_jobs) {
     auto it = records_.find(id);
     QDC_EXPECT(it != records_.end(), "JobQueue: queued id has no record");
     JobRecord& rec = it->second;
-    if (rec.state != JobState::Queued) continue;  // cancelled while queued
     if (rec.timeout_us != 0 && tick_ &&
         now >= rec.submit_tick + rec.timeout_us) {
       finish_locked(rec, JobState::Expired);
@@ -68,8 +68,9 @@ std::optional<JobState> JobQueue::cancel(std::uint64_t id) {
   if (it == records_.end()) return std::nullopt;
   JobRecord& rec = it->second;
   if (rec.state == JobState::Queued) {
+    // Leaving fifo_ frees the job's admission slot at once.
+    fifo_.erase(std::find(fifo_.begin(), fifo_.end(), id));
     finish_locked(rec, JobState::Cancelled);
-    // The id stays in fifo_; pop_batch skips non-Queued entries.
   }
   return rec.state;
 }
@@ -128,10 +129,7 @@ void JobQueue::close() {
 void JobQueue::cancel_all_queued() {
   std::lock_guard<std::mutex> lock(mutex_);
   for (std::uint64_t id : fifo_) {
-    auto it = records_.find(id);
-    if (it != records_.end() && it->second.state == JobState::Queued) {
-      finish_locked(it->second, JobState::Cancelled);
-    }
+    finish_locked(records_.at(id), JobState::Cancelled);
   }
   fifo_.clear();
 }
@@ -143,14 +141,7 @@ bool JobQueue::closed() const {
 
 int JobQueue::depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  int queued = 0;
-  for (std::uint64_t id : fifo_) {
-    auto it = records_.find(id);
-    if (it != records_.end() && it->second.state == JobState::Queued) {
-      ++queued;
-    }
-  }
-  return queued;
+  return static_cast<int>(fifo_.size());
 }
 
 int JobQueue::in_flight() const {

@@ -83,13 +83,12 @@ class JobQueue {
   /// Dequeues up to `max_jobs` ids in FIFO order and atomically moves
   /// them Queued -> Running (jobs whose queue-wait deadline has passed
   /// become Expired instead and are not returned). May return empty when
-  /// every dequeued entry had been cancelled or expired; an empty return
-  /// with closed() true means fully drained — dispatchers loop on
-  /// `batch.empty() && closed()`.
+  /// every dequeued entry had expired; an empty return with closed() true
+  /// means fully drained — dispatchers loop on `batch.empty() && closed()`.
   std::vector<std::uint64_t> pop_batch(int max_jobs);
 
-  /// Cancels `id` iff it is still Queued. Returns the resulting state,
-  /// or nullopt for unknown ids.
+  /// Cancels `id` iff it is still Queued, which frees its admission slot
+  /// at once. Returns the resulting state, or nullopt for unknown ids.
   std::optional<JobState> cancel(std::uint64_t id);
 
   /// Terminal transitions, called by the dispatcher.

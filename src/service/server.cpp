@@ -10,6 +10,13 @@
 
 namespace qdc::service {
 
+namespace {
+
+/// Pending connections the listening socket queues before accept().
+constexpr int kListenBacklog = 16;
+
+}  // namespace
+
 ExperimentServer::ExperimentServer(ServerOptions options)
     : options_(std::move(options)),
       queue_(options_.queue_capacity, options_.tick),
@@ -27,7 +34,7 @@ void ExperimentServer::start() {
     QDC_EXPECT(!started_, "ExperimentServer: start() called twice");
     started_ = true;
   }
-  listener_ = listen_unix(options_.socket_path, options_.listen_backlog);
+  listener_ = listen_unix(options_.socket_path, kListenBacklog);
   accept_thread_ = std::thread([this] { accept_loop(); });
   dispatcher_thread_ = std::thread([this] { dispatcher_loop(); });
 }

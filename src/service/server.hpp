@@ -60,8 +60,6 @@ struct ServerOptions {
   /// Result-cache budget in payload bytes.
   std::uint64_t cache_bytes = 64ull << 20;
 
-  int listen_backlog = 16;
-
   /// Monotonic microsecond source for admin timings and queue-wait
   /// timeouts. Null (default) keeps src/ wall-clock-free: timings read
   /// as 0 and timeouts never fire.

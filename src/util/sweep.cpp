@@ -20,36 +20,15 @@ std::uint64_t SweepRunner::job_seed(std::uint64_t master_seed, int index) {
   return splitmix64(master_seed + steps * 0x9e3779b97f4a7c15ULL);
 }
 
-std::vector<std::exception_ptr> SweepRunner::try_run(
-    int job_count, const std::function<void(const SweepJob&)>& job) {
-  QDC_EXPECT(job_count >= 0, "SweepRunner: negative job count");
-  QDC_EXPECT(static_cast<bool>(job), "SweepRunner: null job");
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(job_count));
-  if (job_count == 0) {
-    return errors;
-  }
-  const std::uint64_t master = options_.master_seed;
-  pool_->run(job_count, [&](int index) {
-    // Each job index is claimed by exactly one pool thread, so the
-    // index-owned error slot needs no lock; consuming slots in index
-    // order *is* the deterministic merge.
-    try {
-      job(SweepJob{index, job_seed(master, index)});
-    } catch (...) {
-      errors[static_cast<std::size_t>(index)] = std::current_exception();
-    }
-  });
-  return errors;
-}
-
 void SweepRunner::run(int job_count,
                       const std::function<void(const SweepJob&)>& job) {
-  for (const std::exception_ptr& error : try_run(job_count, job)) {
-    if (error) {
-      std::rethrow_exception(error);
-    }
-  }
+  QDC_EXPECT(static_cast<bool>(job), "SweepRunner: null job");
+  const std::uint64_t master = options_.master_seed;
+  // The pool runs every index once and rethrows the lowest-indexed
+  // exception after all of them finished, which is run()'s contract.
+  pool_->run(job_count, [&](int index) {
+    job(SweepJob{index, job_seed(master, index)});
+  });
 }
 
 }  // namespace qdc::util

@@ -13,10 +13,9 @@
 //    bit-identical for 1, 2 or N workers.
 //
 //  * Exception capture. A throwing job never tears down the sweep: every
-//    job runs exactly once, per-job exceptions are captured in job-indexed
-//    slots, and run() rethrows the lowest-indexed one after the whole
-//    sweep has drained — the same exception surfaces for every worker
-//    count. try_run() exposes the full per-job error vector instead.
+//    job runs exactly once, and run() rethrows the lowest-indexed job's
+//    exception after the whole sweep has drained (util::ThreadPool's
+//    contract) — the same exception surfaces for every worker count.
 //
 //  * Bounded nesting. The sweep pool is the *outer* level of parallelism.
 //    Jobs that call Network::run should keep RunOptions::threads = 1 (the
@@ -27,7 +26,6 @@
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -61,7 +59,7 @@ struct SweepJob {
 
 /// Runs vectors of independent jobs over a private ThreadPool. One runner
 /// may execute many sweeps; the pool is reused. Not reentrant: one
-/// run()/try_run()/map() at a time per runner.
+/// run()/map() at a time per runner.
 class SweepRunner {
  public:
   explicit SweepRunner(const SweepOptions& options = {});
@@ -82,12 +80,6 @@ class SweepRunner {
   /// own (typically a slot indexed by job.index). After every job has
   /// finished, rethrows the lowest-indexed captured exception, if any.
   void run(int job_count, const std::function<void(const SweepJob&)>& job);
-
-  /// Like run(), but never throws job exceptions: returns the per-job
-  /// exception vector (entry i is null iff job i completed) in job-index
-  /// order.
-  std::vector<std::exception_ptr> try_run(
-      int job_count, const std::function<void(const SweepJob&)>& job);
 
   /// Typed convenience: collects each job's return value into a vector in
   /// job-index order. Result must be default-constructible.

@@ -1,6 +1,7 @@
 // FIXTURE: formatting into a caller's stream or buffer is not console
 // I/O; std::cout in a comment and printf( in a string are not either, and
-// neither is declaring a member that is merely named cout.
+// neither is declaring a member, or using a parameter or a local, that is
+// merely named like a stream.
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
@@ -14,6 +15,13 @@ const char* hint() { return "call printf(...) in a bench instead"; }
 struct ProbeSink {
   int cout = 0;
 };
+
+int probe_total(const std::ostream* cerr) { return cerr != nullptr ? 1 : 0; }
+
+int probe_next() {
+  int clog = 2;
+  return clog + 1;
+}
 
 std::size_t digits(std::int64_t v) {
   std::size_t n = 1;

@@ -397,6 +397,54 @@ TEST(EngineDeterminism, FrontierFastForwardsSilentRemainder) {
   EXPECT_EQ(frontier.trace, dense.trace);
 }
 
+/// Node 0 sends one message in round 0. Node 1 reads it in round 1 and
+/// asks to be woken, so it runs again in round 2 with nothing delivered.
+/// Its output is 10 × (messages read in round 1) + (messages in round 2).
+class WakeAfterReadProgram : public NodeProgram {
+ public:
+  void on_round(NodeContext& ctx, const std::vector<Incoming>& inbox) override {
+    if (ctx.id() != 1) {
+      if (ctx.id() == 0) ctx.send(0, {7});
+      ctx.set_output(0);
+      ctx.halt();
+      return;
+    }
+    if (ctx.round() == 1) {
+      read_ = static_cast<std::int64_t>(inbox.size());
+      if (read_ == 1 && inbox[0].data != Payload{7}) read_ = -1;
+      ctx.request_wake();
+    } else if (ctx.round() == 2) {
+      ctx.set_output(10 * read_ + static_cast<std::int64_t>(inbox.size()));
+      ctx.halt();
+    }
+  }
+
+ private:
+  std::int64_t read_ = 0;
+};
+
+TEST(EngineDeterminism, WokenNodeWithoutDeliverySeesEmptyInbox) {
+  // An inbox holds only the previous round's delivery: a node that woke
+  // itself after reading a message must not read that message again.
+  Network net(std::make_shared<PathView>(3), NetworkConfig{.bandwidth = 8});
+  const RunStats expected{
+      .rounds = 3, .messages = 1, .fields = 1, .completed = true};
+  for (const bool frontier : {false, true}) {
+    for (const int threads : {1, 2, 4}) {
+      net.install([](NodeId, const NodeContext&) {
+        return std::make_unique<WakeAfterReadProgram>();
+      });
+      EXPECT_EQ(net.run({.max_rounds = 10,
+                         .threads = threads,
+                         .frontier = frontier}),
+                expected)
+          << "frontier=" << frontier << " threads=" << threads;
+      EXPECT_EQ(net.output(1), 10)
+          << "frontier=" << frontier << " threads=" << threads;
+    }
+  }
+}
+
 TEST(EngineDeterminism, UnauditedRunStillDelivers) {
   Rng rng(17);
   Network net(graph::random_connected(40, 0.1, rng),

@@ -2,7 +2,9 @@
 // the sampling min-cut estimator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "congest/network.hpp"
 #include "dist/sssp.hpp"
@@ -90,9 +92,14 @@ TEST(StDistance, ReadsOffTerminal) {
 }
 
 TEST(MinCutEstimate, OrdersCutSizesCorrectly) {
-  // The estimator is only O(log n)-accurate; test that it clearly
-  // separates a graph with a bridge from a well-connected graph.
-  Rng rng(9);
+  // The estimator is only O(log n)-accurate and each estimate rests on
+  // one shared tape, so this compares a graph with a bridge (cut 1) with
+  // K20 (cut 19) over 32 fixed tapes and asserts aggregates only. Over 960
+  // other tapes (splitmix64 of 1000..1319 and 2000..2639) the barbell read
+  // below K20 on every tape and at least 2x below on 56 % of them, and in
+  // every block of 32 tapes it was below on 32, 2x below on at least 13,
+  // and K20's median estimate was at least twice the barbell's.
+  constexpr int kTapes = 32;
   graph::Graph barbell(20);
   for (int u = 0; u < 10; ++u) {
     for (int v = u + 1; v < 10; ++v) {
@@ -101,17 +108,32 @@ TEST(MinCutEstimate, OrdersCutSizesCorrectly) {
     }
   }
   barbell.add_edge(0, 10);  // the bridge
-  congest::Network net1(barbell, congest::NetworkConfig{.bandwidth = 8});
-  const auto tree1 = build_bfs_tree(net1, 0);
-  const auto est1 = estimate_min_cut(net1, tree1, 5);
-
   const graph::Graph dense = graph::complete_graph(20);
-  congest::Network net2(dense, congest::NetworkConfig{.bandwidth = 8});
-  const auto tree2 = build_bfs_tree(net2, 0);
-  const auto est2 = estimate_min_cut(net2, tree2, 5);
-
-  EXPECT_LT(est1.estimate * 2, est2.estimate)
-      << "bridge graph (cut 1) vs K20 (cut 19)";
+  const auto estimate = [](const graph::Graph& g, std::uint64_t seed) {
+    congest::Network net(
+        g, congest::NetworkConfig{.bandwidth = 8, .shared_seed = seed});
+    return estimate_min_cut(net, build_bfs_tree(net, 0), 5).estimate;
+  };
+  std::vector<double> bridged;
+  std::vector<double> complete;
+  int below = 0;
+  int twice_below = 0;
+  for (int tape = 0; tape < kTapes; ++tape) {
+    const std::uint64_t seed = splitmix64(static_cast<std::uint64_t>(tape));
+    bridged.push_back(estimate(barbell, seed));
+    complete.push_back(estimate(dense, seed));
+    below += bridged.back() < complete.back() ? 1 : 0;
+    twice_below += 2 * bridged.back() < complete.back() ? 1 : 0;
+  }
+  // The upper median: the 17th of the 32 sorted estimates.
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + kTapes / 2, v.end());
+    return v[kTapes / 2];
+  };
+  EXPECT_GE(below, 0.9 * kTapes) << "tapes with barbell < K20";
+  EXPECT_GE(twice_below, 0.25 * kTapes) << "tapes with 2 x barbell < K20";
+  EXPECT_GE(median(complete), 2 * median(bridged))
+      << "median estimates, K20 vs barbell";
 }
 
 TEST(MinCutEstimate, TrialsOfOneLevelKeepDifferentEdgeSets) {

@@ -57,6 +57,22 @@ TEST(ServiceQueue, BoundedBackpressure) {
   EXPECT_NE(queue.submit(small_spec(), 3, 0), 0u);
 }
 
+TEST(ServiceQueue, CancelFreesAdmissionSlot) {
+  JobQueue queue(2, nullptr);
+  const std::uint64_t a = queue.submit(small_spec(), 1, 0);
+  const std::uint64_t b = queue.submit(small_spec(), 2, 0);
+  ASSERT_NE(b, 0u);
+  EXPECT_EQ(queue.cancel(b), JobState::Cancelled);
+  EXPECT_EQ(queue.depth(), 1);
+
+  // The cancelled job's slot is free before any dispatcher runs.
+  const std::uint64_t c = queue.submit(small_spec(), 3, 0);
+  EXPECT_NE(c, 0u);
+  EXPECT_EQ(queue.counters().rejected_full, 0u);
+  EXPECT_EQ(queue.depth(), 2);
+  EXPECT_EQ(queue.pop_batch(4), (std::vector<std::uint64_t>{a, c}));
+}
+
 TEST(ServiceQueue, PopBatchRespectsMaxJobs) {
   JobQueue queue(8, nullptr);
   for (int i = 0; i < 5; ++i) queue.submit(small_spec(), 1, 0);

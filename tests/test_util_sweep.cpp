@@ -102,30 +102,11 @@ TEST(SweepDeterminism, ThrowingJobPropagatesLowestIndexAfterFullSweep) {
   }
 }
 
-TEST(SweepDeterminism, TryRunReportsPerJobErrors) {
-  for (const int workers : {1, 4}) {
-    SweepRunner runner(SweepOptions{.threads = workers});
-    const std::vector<std::exception_ptr> errors =
-        runner.try_run(8, [](const SweepJob& job) {
-          if (job.index % 3 == 1) {
-            throw std::runtime_error("odd");
-          }
-        });
-    ASSERT_EQ(8u, errors.size()) << "workers=" << workers;
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_EQ(i % 3 == 1,
-                static_cast<bool>(errors[static_cast<std::size_t>(i)]))
-          << "job " << i << " workers=" << workers;
-    }
-  }
-}
-
 TEST(SweepDeterminism, EmptySweepIsANoOp) {
   SweepRunner runner(SweepOptions{.threads = 4});
   int calls = 0;
   runner.run(0, [&](const SweepJob&) { ++calls; });
   EXPECT_EQ(0, calls);
-  EXPECT_TRUE(runner.try_run(0, [](const SweepJob&) {}).empty());
 }
 
 TEST(SweepDeterminism, ZeroThreadsResolvesToHardware) {

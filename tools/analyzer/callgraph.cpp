@@ -226,13 +226,12 @@ std::string qname_prefix(const std::string& code, std::size_t name_pos) {
 }
 
 /// Parallel entry points whose closure arguments become PoolClosures:
-/// util::run_sharded, StateVector::for_shards, Network::dispatch_list (the
-/// round engine's compute, deliver and reset phases) and
-/// SweepRunner::try_run, plus the generic pool shapes dispatch, submit and
-/// parallel_for.
+/// util::run_sharded, StateVector::for_shards and Network::dispatch_list
+/// (the round engine's compute, deliver and reset phases), plus the
+/// generic pool shapes dispatch, submit and parallel_for. Method-form
+/// `.run(` calls (ThreadPool::run, SweepRunner::run) are matched apart.
 const char* kEntryTokens[] = {"run_sharded", "for_shards", "dispatch_list",
-                              "try_run",     "dispatch",   "submit",
-                              "parallel_for"};
+                              "dispatch",    "submit",     "parallel_for"};
 
 }  // namespace
 

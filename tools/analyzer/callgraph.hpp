@@ -19,7 +19,7 @@
 //     argument count (an over-approximation — no overload resolution);
 //     unresolved calls are external (std::, system) and terminate walks;
 //   * closures passed to pool entry points (run_sharded, for_shards,
-//     dispatch, submit, parallel_for, try_run, method-form .run),
+//     dispatch_list, dispatch, submit, parallel_for, method-form .run),
 //     shared by parallel/ and flow/.
 //
 // The graph is read-only after construction.

@@ -185,14 +185,13 @@ class LintCheck final : public Check {
 
   void run_file(const AnalysisContext& ctx, const SourceFile& f,
                 std::vector<Diagnostic>& out) const override {
-    (void)ctx;
     if (f.rel.rfind("tests/", 0) == 0 || f.rel.rfind("bench/", 0) == 0) {
       check_aux_random(f, out);
       return;
     }
     if (f.rel.rfind("src/", 0) != 0) return;
     check_lines(f, out);
-    check_tokens(f, out);
+    check_tokens(ctx, f, out);
     check_include_order(f, out);
   }
 
@@ -288,7 +287,19 @@ class LintCheck final : public Check {
                      "src/ file declares nothing inside namespace qdc"});
   }
 
-  static void check_tokens(const SourceFile& f, std::vector<Diagnostic>& out) {
+  /// Whether `name` at `pos` is a parameter or local of a function whose
+  /// body encloses `pos`.
+  static bool names_local(const AnalysisContext& ctx, const SourceFile& f,
+                          std::size_t pos, const std::string& name) {
+    for (const FunctionDef* fn : ctx.graph().functions_in_file(f.rel))
+      if (fn->body_begin < pos && pos < fn->body_end &&
+          fn->locals.count(name) != 0)
+        return true;
+    return false;
+  }
+
+  static void check_tokens(const AnalysisContext& ctx, const SourceFile& f,
+                           std::vector<Diagnostic>& out) {
     emit_per_line(f, rand_calls(f.code), "lint/no-raw-random",
                   "use util/rng.hpp (seeded Rng&) or the shared tape; "
                   "rand()/srand() break reproducibility",
@@ -298,12 +309,14 @@ class LintCheck final : public Check {
     for (const auto& [pos, name] : std_names(f.code))
       if (name == "cout" || name == "cerr" || name == "clog")
         io.emplace_back(pos, "std::" + name);
-    // Unqualified streams, as after a `using namespace std;`; a member or
-    // variable that is merely named like one is not a stream.
+    // Unqualified streams, as after a `using namespace std;`; a member,
+    // variable, parameter or local that is merely named like one is not a
+    // stream.
     for (const char* stream : {"cout", "cerr", "clog"})
       for (std::size_t pos : token_hits(f.code, stream, '\0'))
         if (!is_member_or_qualified(f.code, pos) &&
-            !is_declarator(f.code, pos))
+            !is_declarator(f.code, pos) &&
+            !names_local(ctx, f, pos, stream))
           io.emplace_back(pos, stream);
     for (const char* fn : {"printf", "fprintf", "sprintf"})
       for (std::size_t pos : token_hits(f.code, fn, '('))

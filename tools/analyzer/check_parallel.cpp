@@ -1,7 +1,7 @@
 // Parallel-safety check: lambda-capture analysis for every closure handed
 // to a parallel execution entry point (util::ThreadPool::run via a pool
 // expression, util::run_sharded, StateVector::for_shards, Network::dispatch,
-// SweepRunner::run/try_run, submit/parallel_for). The engine's determinism
+// SweepRunner::run, submit/parallel_for). The engine's determinism
 // contract says a shard may write only shard-owned state — typically a slot
 // indexed by the shard/job number, merged serially in shard order
 // (util/shard.hpp documents the idiom). These rules enforce that contract

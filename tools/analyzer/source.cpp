@@ -234,8 +234,13 @@ std::set<std::string> declared_vars_in(const std::string& code,
     // type-ish token (identifier, '>', '&', '*') right before the name.
     if ((nxt == "=" || nxt == ";" || nxt == "{" || nxt == "(") && i > 0) {
       const Token& prev = toks[i - 1];
+      // A '>' ends a template type, unless it is the arrow of `p->name`.
+      const bool arrow = prev.text == ">" && i > 1 &&
+                         toks[i - 2].text == "-" &&
+                         toks[i - 2].offset + 1 == prev.offset;
       bool typeish = (prev.ident && !is_cpp_keyword(prev.text)) ||
-                     prev.text == ">" || prev.text == "&" || prev.text == "*";
+                     (prev.text == ">" && !arrow) || prev.text == "&" ||
+                     prev.text == "*";
       // `auto`, builtin types and cv-qualifiers are keywords; accept them
       // as the type position too.
       bool builtin = prev.ident &&

@@ -10,14 +10,19 @@
 // Usage:
 //   qdc_serviced --socket PATH [--workers N] [--queue-capacity N]
 //                [--cache-mb N]
+// A missing, malformed or out-of-range flag value prints the usage line
+// and exits 2: --workers takes N >= 0 (0 = all hardware threads),
+// --queue-capacity N >= 1 and --cache-mb N >= 0.
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdint>
-#include <exception>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -52,6 +57,19 @@ int usage(const char* argv0) {
   return 2;
 }
 
+/// Parses all of `text` as a decimal integer in [lo, hi].
+bool parse_int(const char* text, long long lo, long long hi, long long& out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE || value < lo ||
+      value > hi) {
+    return false;
+  }
+  out = value;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -61,15 +79,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    long long value = 0;
     if (arg == "--socket" && has_value) {
       options.socket_path = argv[++i];
-    } else if (arg == "--workers" && has_value) {
-      options.workers = std::atoi(argv[++i]);
-    } else if (arg == "--queue-capacity" && has_value) {
-      options.queue_capacity = std::atoi(argv[++i]);
-    } else if (arg == "--cache-mb" && has_value) {
-      options.cache_bytes =
-          static_cast<std::uint64_t>(std::atoll(argv[++i])) << 20;
+    } else if (arg == "--workers" && has_value &&
+               parse_int(argv[++i], 0, INT_MAX, value)) {
+      options.workers = static_cast<int>(value);
+    } else if (arg == "--queue-capacity" && has_value &&
+               parse_int(argv[++i], 1, INT_MAX, value)) {
+      options.queue_capacity = static_cast<int>(value);
+    } else if (arg == "--cache-mb" && has_value &&
+               parse_int(argv[++i], 0, static_cast<long long>(UINT64_MAX >> 20),
+                         value)) {
+      options.cache_bytes = static_cast<std::uint64_t>(value) << 20;
     } else {
       return usage(argv[0]);
     }
@@ -84,13 +106,15 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, forward_signal);
   std::signal(SIGPIPE, SIG_IGN);
 
-  qdc::service::ExperimentServer server(options);
+  std::unique_ptr<qdc::service::ExperimentServer> owned;
   try {
-    server.start();
+    owned = std::make_unique<qdc::service::ExperimentServer>(options);
+    owned->start();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "qdc_serviced: %s\n", e.what());
     return 1;
   }
+  qdc::service::ExperimentServer& server = *owned;
   std::printf("qdc_serviced listening on %s (workers=%d queue=%d)\n",
               server.socket_path().c_str(), options.workers,
               options.queue_capacity);
