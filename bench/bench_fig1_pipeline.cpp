@@ -13,13 +13,14 @@
 //    charged cost per round vs the 6kB bound, and the implied Theorem 3.6
 //    lower bound at the Section 9.1 parameter choice.
 #include <cstdio>
+#include <memory>
 
 #include "comm/lemma32.hpp"
 #include "comm/problems.hpp"
 #include "comm/server_model.hpp"
 #include "congest/network.hpp"
 #include "core/bounds.hpp"
-#include "core/lb_network.hpp"
+#include "core/lb_topology.hpp"
 #include "core/simulation.hpp"
 #include "dist/tree.hpp"
 #include "gadgets/ham_gadgets.hpp"
@@ -75,11 +76,11 @@ int main(int argc, char** argv) {
 
   std::printf("\n[4] Quantum Simulation Theorem (Theorem 3.5) on N(Gamma, "
               "L)\n");
-  const core::LbNetwork lbn(4, 129);
-  congest::Network net(lbn.topology(), congest::NetworkConfig{.bandwidth = 8});
+  const auto lb = std::make_shared<const core::LbTopologyView>(4, 129);
+  congest::Network net(lb, congest::NetworkConfig{.bandwidth = 8});
   const auto tree =
-      dist::build_bfs_tree(net, lbn.path_node(0, 1), {.record_trace = true});
-  const auto acc = core::account_three_party_cost(lbn, net);
+      dist::build_bfs_tree(net, lb->path_node(0, 1), {.record_trace = true});
+  const auto acc = core::account_three_party_cost(*lb, net);
   std::printf("    BFS on N(4, 129): %d rounds; max charged %lld "
               "fields/round <= 6kB = %lld; highway-only: %s\n",
               acc.rounds, static_cast<long long>(acc.max_charged_per_round),

@@ -88,8 +88,7 @@ void run_sweep(bench::SweepHarness& harness, int n, double alpha) {
   std::printf("%10s %14s %13s %14s %16s %12s\n", "W", "approx-rounds",
               "exact-rounds", "envelope(min)", "lower-bound", "approx-ok");
   const double crossover = core::figure3_crossover_aspect(n, alpha);
-  const double max_aspect =
-      harness.smoke() ? crossover : 10.0 * crossover;
+  const double max_aspect = 10.0 * crossover;
   struct RowInput {
     double aspect = 0.0;
     graph::WeightedGraph g;

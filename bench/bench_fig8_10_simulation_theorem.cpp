@@ -16,12 +16,14 @@
 // stdout is byte-identical to the pre-harness bench at every
 // --sweep-threads value.
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "congest/network.hpp"
-#include "core/lb_network.hpp"
+#include "congest/topology.hpp"
+#include "core/lb_topology.hpp"
 #include "core/simulation.hpp"
 #include "dist/tree.hpp"
 #include "graph/algorithms.hpp"
@@ -67,35 +69,34 @@ int main(int argc, char** argv) {
               "bfs-max/rnd", "highway", "sat-max/rnd", "bound-6kB");
   // L must exceed ~2x the BFS round count for the schedule to apply
   // (Theorem 3.5 simulates algorithms of at most L/2 - 2 rounds).
-  std::vector<std::pair<int, int>> configs{
+  const std::vector<std::pair<int, int>> configs{
       {2, 129}, {4, 129}, {4, 257}, {8, 257}};
-  if (harness.smoke()) configs = {{2, 129}, {4, 129}};
   const std::vector<std::string> config_rows = harness.sweep<std::string>(
       "gamma_length_rows", static_cast<int>(configs.size()),
       [&](const util::SweepJob& job) {
         const auto [gamma, len] =
             configs[static_cast<std::size_t>(job.index)];
-        const core::LbNetwork lbn(gamma, len);
-        const int diam = qdc::graph::diameter(lbn.topology());
+        const auto lb =
+            std::make_shared<const core::LbTopologyView>(gamma, len);
+        const int diam = qdc::graph::diameter(congest::materialize(*lb));
 
-        congest::Network net(lbn.topology(),
-                             congest::NetworkConfig{.bandwidth = 8});
-        const auto tree = dist::build_bfs_tree(net, lbn.path_node(0, 1),
+        congest::Network net(lb, congest::NetworkConfig{.bandwidth = 8});
+        const auto tree = dist::build_bfs_tree(net, lb->path_node(0, 1),
                                                {.record_trace = true});
-        const auto bfs_acc = core::account_three_party_cost(lbn, net);
+        const auto bfs_acc = core::account_three_party_cost(*lb, net);
 
-        const int t = lbn.max_simulated_rounds() - 2;
+        const int t = lb->max_simulated_rounds() - 2;
         net.install([&](congest::NodeId, const congest::NodeContext&) {
           return std::make_unique<Saturate>(t);
         });
         net.run({.max_rounds = t + 2, .record_trace = true});
-        const auto sat_acc = core::account_three_party_cost(lbn, net);
+        const auto sat_acc = core::account_three_party_cost(*lb, net);
         (void)tree;
 
         return bench::strprintf(
             "%6d %5d %7d %7d %5d %5d | %12lld %12lld %9s | %12lld %12lld\n",
-            lbn.gamma(), lbn.length(), lbn.topology().node_count(),
-            lbn.topology().edge_count(), lbn.highway_count(), diam,
+            lb->gamma(), lb->length(), lb->node_count(), lb->edge_count(),
+            lb->highway_count(), diam,
             static_cast<long long>(bfs_acc.total_charged()),
             static_cast<long long>(bfs_acc.max_charged_per_round),
             bfs_acc.only_highway_edges_charged &&
@@ -109,21 +110,19 @@ int main(int argc, char** argv) {
 
   std::printf("\nbandwidth ablation on N(4, 129) (saturating traffic):\n");
   std::printf("%6s %14s %14s\n", "B", "sat-max/round", "bound 6kB");
-  std::vector<int> bandwidths = {2, 4, 8, 16};
-  if (harness.smoke()) bandwidths = {2, 8};
+  const std::vector<int> bandwidths = {2, 4, 8, 16};
   const std::vector<std::string> bandwidth_rows = harness.sweep<std::string>(
       "bandwidth_ablation", static_cast<int>(bandwidths.size()),
       [&](const util::SweepJob& job) {
         const int b = bandwidths[static_cast<std::size_t>(job.index)];
-        const core::LbNetwork lbn(4, 129);
-        congest::Network net(lbn.topology(),
-                             congest::NetworkConfig{.bandwidth = b});
-        const int t = lbn.max_simulated_rounds() - 2;
+        const auto lb = std::make_shared<const core::LbTopologyView>(4, 129);
+        congest::Network net(lb, congest::NetworkConfig{.bandwidth = b});
+        const int t = lb->max_simulated_rounds() - 2;
         net.install([&](congest::NodeId, const congest::NodeContext&) {
           return std::make_unique<Saturate>(t);
         });
         net.run({.max_rounds = t + 2, .record_trace = true});
-        const auto acc = core::account_three_party_cost(lbn, net);
+        const auto acc = core::account_three_party_cost(*lb, net);
         return bench::strprintf(
             "%6d %14lld %14lld\n", b,
             static_cast<long long>(acc.max_charged_per_round),
@@ -135,29 +134,28 @@ int main(int argc, char** argv) {
   std::printf("\nhighway ablation: diameter with vs without highways "
               "(Theta(log L) vs Theta(L)):\n");
   std::printf("%6s %12s %14s\n", "L", "diam N", "diam N'(no hwy)");
-  std::vector<int> lengths = {33, 65, 129};
-  if (harness.smoke()) lengths = {33, 65};
+  const std::vector<int> lengths = {33, 65, 129};
   const std::vector<std::string> highway_rows = harness.sweep<std::string>(
       "highway_ablation", static_cast<int>(lengths.size()),
       [&](const util::SweepJob& job) {
         const int len = lengths[static_cast<std::size_t>(job.index)];
-        const core::LbNetwork lbn(3, len);
+        const core::LbTopologyView lb(3, len);
         // N': paths plus end cliques only.
-        qdc::graph::Graph plain(3 * lbn.length());
+        qdc::graph::Graph plain(3 * lb.length());
         for (int i = 0; i < 3; ++i) {
-          for (int j = 0; j + 1 < lbn.length(); ++j) {
-            plain.add_edge(i * lbn.length() + j, i * lbn.length() + j + 1);
+          for (int j = 0; j + 1 < lb.length(); ++j) {
+            plain.add_edge(i * lb.length() + j, i * lb.length() + j + 1);
           }
         }
         for (int a = 0; a < 3; ++a) {
           for (int b = a + 1; b < 3; ++b) {
-            plain.add_edge(a * lbn.length(), b * lbn.length());
-            plain.add_edge((a + 1) * lbn.length() - 1,
-                           (b + 1) * lbn.length() - 1);
+            plain.add_edge(a * lb.length(), b * lb.length());
+            plain.add_edge((a + 1) * lb.length() - 1,
+                           (b + 1) * lb.length() - 1);
           }
         }
-        return bench::strprintf("%6d %12d %14d\n", lbn.length(),
-                                qdc::graph::diameter(lbn.topology()),
+        return bench::strprintf("%6d %12d %14d\n", lb.length(),
+                                qdc::graph::diameter(congest::materialize(lb)),
                                 qdc::graph::diameter(plain));
       });
   for (const std::string& row : highway_rows) std::fputs(row.c_str(), stdout);

@@ -17,13 +17,14 @@
 // order — stdout is byte-identical to the pre-harness bench at every
 // --sweep-threads value.
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "congest/network.hpp"
 #include "core/bounds.hpp"
-#include "core/lb_network.hpp"
+#include "core/lb_topology.hpp"
 #include "dist/sssp.hpp"
 #include "dist/tree.hpp"
 #include "dist/verify.hpp"
@@ -44,8 +45,7 @@ int main(int argc, char** argv) {
   std::printf("%6s %8s | %7s %7s %7s %7s %7s %7s %7s %7s | %8s\n", "n",
               "LB", "Ham", "ST", "SCS", "Conn", "Cycle", "eCycle", "Bipart",
               "Path", "LB<=all");
-  std::vector<int> sizes = {64, 128, 256, 512};
-  if (harness.smoke()) sizes = {64, 128};
+  const std::vector<int> sizes = {64, 128, 256, 512};
   struct VerifierInput {
     int n = 0;
     graph::Graph topo;
@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
   std::printf("\nleast-element-list verification (exact, Bellman-Ford + "
               "gather; no sqrt(n) upper bound is known, cf. [DHK+12]):\n");
   std::printf("%6s %10s\n", "n", "rounds");
-  std::vector<int> le_sizes = {32, 64, 128};
-  if (harness.smoke()) le_sizes = {32, 64};
+  const std::vector<int> le_sizes = {32, 64, 128};
   struct LeInput {
     int n = 0;
     graph::WeightedGraph g;
@@ -136,33 +135,31 @@ int main(int argc, char** argv) {
               "network N(Gamma, L):\n");
   std::printf("%6s %5s %7s | %12s %14s %12s\n", "Gamma", "L", "nodes",
               "Ham rounds", "L/2-2 budget", "exceeds?");
-  std::vector<std::pair<int, int>> configs{{3, 33}, {4, 65}, {8, 65}};
-  if (harness.smoke()) configs = {{3, 33}, {4, 65}};
+  const std::vector<std::pair<int, int>> configs{{3, 33}, {4, 65}, {8, 65}};
   const std::vector<std::string> ham_rows = harness.sweep<std::string>(
       "hard_network_consistency", static_cast<int>(configs.size()),
       [&](const util::SweepJob& job) {
         const auto [gamma, len] =
             configs[static_cast<std::size_t>(job.index)];
-        const core::LbNetwork lbn(gamma, len);
-        congest::Network net(lbn.topology(),
-                             congest::NetworkConfig{.bandwidth = 8});
-        const auto tree = dist::build_bfs_tree(net, lbn.path_node(0, 1));
+        const auto lb =
+            std::make_shared<const core::LbTopologyView>(gamma, len);
+        congest::Network net(lb, congest::NetworkConfig{.bandwidth = 8});
+        const auto tree = dist::build_bfs_tree(net, lb->path_node(0, 1));
         // Embed a Hamiltonian instance.
-        const int lines = lbn.line_count();
-        graph::EdgeSubset m(lbn.topology().edge_count());
+        const int lines = lb->line_count();
+        graph::EdgeSubset m(lb->edge_count());
         if (lines % 2 == 0) {
           std::vector<graph::Edge> ec, ed;
           for (int l = 0; l < lines; l += 2) ec.push_back({l, l + 1});
           for (int l = 1; l + 1 < lines; l += 2) ed.push_back({l, l + 1});
           ed.push_back({lines - 1, 0});
-          m = lbn.embed_matchings(ec, ed);
+          m = lb->embed_matchings(ec, ed);
         }
         const auto v = dist::verify_hamiltonian_cycle(net, tree, m);
         return bench::strprintf(
-            "%6d %5d %7d | %12d %14d %12s\n", lbn.gamma(), lbn.length(),
-            lbn.topology().node_count(), v.rounds,
-            lbn.max_simulated_rounds(),
-            v.rounds > lbn.max_simulated_rounds()
+            "%6d %5d %7d | %12d %14d %12s\n", lb->gamma(), lb->length(),
+            lb->node_count(), v.rounds, lb->max_simulated_rounds(),
+            v.rounds > lb->max_simulated_rounds()
                 ? "yes (as the bound demands)"
                 : "NO (would contradict Thm 3.6!)");
       });

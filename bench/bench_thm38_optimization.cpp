@@ -33,8 +33,7 @@ int main(int argc, char** argv) {
   std::printf("=== Theorem 3.8 / Corollary 3.9: optimization bounds ===\n\n");
   std::printf("%5s %7s %6s | %9s %11s %9s | %9s %10s\n", "n", "W", "alpha",
               "LB", "approx-MST", "exact-MST", "approx-ok", "LB<=UB?");
-  std::vector<int> sizes = {64, 144, 256};
-  if (harness.smoke()) sizes = {64, 144};
+  const std::vector<int> sizes = {64, 144, 256};
   struct GridInput {
     int n = 0;
     double aspect = 0.0;
@@ -92,8 +91,7 @@ int main(int argc, char** argv) {
   std::printf("\nother Corollary 3.9 problems (measured upper bounds):\n");
   std::printf("%5s | %12s %14s %14s %12s\n", "n", "SSSP(BF)", "s-t dist",
               "min-cut est", "cut factor");
-  std::vector<int> other_sizes = {48, 96};
-  if (harness.smoke()) other_sizes = {48};
+  const std::vector<int> other_sizes = {48, 96};
   struct OtherInput {
     int n = 0;
     graph::Graph topo;

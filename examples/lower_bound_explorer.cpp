@@ -6,8 +6,11 @@
 //   $ ./lower_bound_explorer [gamma] [L]
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 
+#include "congest/topology.hpp"
 #include "core/bounds.hpp"
+#include "core/lb_topology.hpp"
 #include "core/simulation.hpp"
 #include "dist/tree.hpp"
 #include "graph/algorithms.hpp"
@@ -18,22 +21,23 @@ int main(int argc, char** argv) {
   const int gamma = argc > 1 ? std::atoi(argv[1]) : 4;
   const int length = argc > 2 ? std::atoi(argv[2]) : 129;
 
-  const core::LbNetwork lbn(gamma, length);
-  const int n = lbn.topology().node_count();
+  const auto lb = std::make_shared<const core::LbTopologyView>(gamma, length);
+  const graph::Graph topology = congest::materialize(*lb);
+  const int n = lb->node_count();
   std::printf("N(Gamma=%d, L=%d): %d nodes, %d edges, %d highways\n",
-              lbn.gamma(), lbn.length(), n, lbn.topology().edge_count(),
-              lbn.highway_count());
+              lb->gamma(), lb->length(), n, lb->edge_count(),
+              lb->highway_count());
   std::printf("diameter = %d (Theta(log L): log2(L-1) = %d)\n",
-              graph::diameter(lbn.topology()), lbn.highway_count());
+              graph::diameter(topology), lb->highway_count());
 
   // Embed a random server-model Ham instance (Observation 8.1).
   Rng rng(3);
-  const int lines = lbn.line_count();
+  const int lines = lb->line_count();
   if (lines % 2 == 0) {
     const auto ec = graph::random_perfect_matching(lines, rng);
     const auto ed = graph::random_perfect_matching(lines, rng);
-    const auto m = lbn.embed_matchings(ec, ed);
-    const auto sub = graph::subgraph(lbn.topology(), m);
+    const auto m = lb->embed_matchings(ec, ed);
+    const auto sub = graph::subgraph(topology, m);
     graph::Graph g(lines);
     for (const auto& e : ec) g.add_edge(e.u, e.v);
     for (const auto& e : ed) g.add_edge(e.u, e.v);
@@ -49,10 +53,10 @@ int main(int argc, char** argv) {
   }
 
   // Run BFS-tree construction under the three-party harness.
-  congest::Network net(lbn.topology(), congest::NetworkConfig{.bandwidth = 8});
+  congest::Network net(lb, congest::NetworkConfig{.bandwidth = 8});
   const auto tree =
-      dist::build_bfs_tree(net, lbn.path_node(0, 1), {.record_trace = true});
-  const auto acc = core::account_three_party_cost(lbn, net);
+      dist::build_bfs_tree(net, lb->path_node(0, 1), {.record_trace = true});
+  const auto acc = core::account_three_party_cost(*lb, net);
   std::printf(
       "simulation harness over %d rounds: Carol %lld + David %lld charged "
       "fields (max %lld per round, bound 6kB = %lld); only highway edges "

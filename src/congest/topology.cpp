@@ -26,6 +26,15 @@ double TopologyView::edge_weight(EdgeId e) const {
   return 1.0;
 }
 
+graph::Graph materialize(const TopologyView& view) {
+  graph::Graph g(view.node_count());
+  for (EdgeId e = 0; e < view.edge_count(); ++e) {
+    const graph::Edge ends = view.edge(e);
+    g.add_edge(ends.u, ends.v);
+  }
+  return g;
+}
+
 MaterializedView::MaterializedView(graph::Graph graph)
     : graph_(std::move(graph)) {}
 

@@ -8,8 +8,7 @@
 // lists, which is what lets bench_engine_scaling run 10^6..10^7-node
 // graphs whose graph::Graph representation would be the bottleneck.
 // The paper's N(Gamma, L) lower-bound family has its own formula-backed
-// view in core/lb_topology.hpp (it needs the LbNetwork layout, which
-// lives above this layer).
+// view in core/lb_topology.hpp.
 //
 // Port contract (shared with graph::Graph adjacency): node u's ports
 // 0..degree(u)-1 enumerate its incident edges in increasing edge-id
@@ -66,6 +65,11 @@ class TopologyView {
   void expect_valid_port(NodeId u, int port) const;
   void expect_valid_edge(EdgeId e) const;
 };
+
+/// Materializes `view` by inserting its edges in edge-id order; by the port
+/// contract the graph has the view's degrees, ports, peers and endpoints.
+/// Edge weights are not copied.
+graph::Graph materialize(const TopologyView& view);
 
 /// Adapter over an explicit graph::Graph (optionally weighted). Owns the
 /// graph; the Network keeps the view alive through a shared_ptr.

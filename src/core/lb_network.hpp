@@ -1,85 +1,27 @@
-// The lower-bound network N(Gamma, L) of Section 8 (Figures 8, 10, 13).
+// A perfbench shim: N(Gamma, L) plus its materialized graph::Graph.
 //
-// Gamma "lines" of L nodes each: the first Gamma are plain paths
-// P^1..P^Gamma; on top sit k = log2(L-1) highway paths H^1..H^k, where H^i
-// has a node at every position 1 + j 2^i. Highway level 1 connects to all
-// path nodes in its column; level i connects to level i-1 in its column.
-// Columns 1 and L additionally carry cliques over all line endpoints (the
-// leftmost/rightmost clique edges of N'), which is where the server-model
-// matchings E_C and E_D embed.
-//
-// Properties (Observation D.2, verified by tests): Theta(Gamma L) nodes and
-// Theta(log L) diameter.
+// core::LbTopologyView (core/lb_topology.hpp) is the one definition of the
+// lower-bound network; this class only adds congest::materialize(*this)
+// for the callers that still ask for `topology()` — perfbench's paper_grid
+// and bench_engine_scaling. The next benchmark change deletes it
+// (ROADMAP item 9); new code builds a Network over the view instead.
 #pragma once
 
-#include <vector>
-
+#include "congest/topology.hpp"
+#include "core/lb_topology.hpp"
 #include "graph/graph.hpp"
 
 namespace qdc::core {
 
-/// Which of the three simulating parties owns a node at a given time step
-/// (Equations 36-38).
-enum class Owner { kCarol, kDavid, kServer };
-
-class LbNetwork {
+class LbNetwork : public LbTopologyView {
  public:
-  /// Builds N(Gamma, L). L is rounded up to the next 2^k + 1.
-  LbNetwork(int gamma, int length);
+  LbNetwork(int gamma, int length)
+      : LbTopologyView(gamma, length), topology_(congest::materialize(*this)) {}
 
   const graph::Graph& topology() const { return topology_; }
 
-  int gamma() const { return gamma_; }
-  int length() const { return length_; }          ///< L (after rounding)
-  int highway_count() const { return highways_; } ///< k = log2(L-1)
-  /// Total lines = gamma + k (paths plus highways); the server-model
-  /// instance G lives on this many nodes.
-  int line_count() const { return gamma_ + highways_; }
-
-  /// Node id of path node v^i_j (path 0 <= i < gamma, position 1 <= j <= L).
-  graph::NodeId path_node(int i, int j) const;
-
-  /// Node id of highway node h^i_j (level 1 <= i <= k; position must be of
-  /// the form 1 + m 2^i).
-  graph::NodeId highway_node(int level, int j) const;
-
-  /// True if `v` is a highway node.
-  bool is_highway(graph::NodeId v) const;
-
-  /// Column position (1..L) of any node.
-  int position(graph::NodeId v) const;
-
-  /// Leftmost node (position 1) of line `l` (paths first, then highways).
-  graph::NodeId line_start(int l) const;
-  /// Rightmost node (position L) of line `l`.
-  graph::NodeId line_end(int l) const;
-
-  /// Owner of node v at time t per Equations (36)-(38): Carol owns columns
-  /// <= t+1, David owns columns >= L-t, the server owns the middle.
-  /// Requires 0 <= t <= L/2 - 2 (so the sets stay disjoint).
-  Owner owner(graph::NodeId v, int t) const;
-
-  /// Largest time step the ownership schedule supports: L/2 - 2.
-  int max_simulated_rounds() const { return length_ / 2 - 2; }
-
-  /// Embeds a server-model instance G = (U, E_C + E_D) given by two perfect
-  /// matchings over the line_count() lines: the subnetwork M consists of
-  /// all path and highway edges, E_C as a matching over line starts, and
-  /// E_D over line ends (Figure 10's bold edges). Observation 8.1: M has
-  /// exactly as many cycles as G.
-  graph::EdgeSubset embed_matchings(
-      const std::vector<graph::Edge>& carol_matching,
-      const std::vector<graph::Edge>& david_matching) const;
-
  private:
-  int gamma_;
-  int length_;
-  int highways_;
   graph::Graph topology_;
-  // highway node ids: highway_ids_[level-1][m] = id of h^level_{1 + m 2^level}
-  std::vector<std::vector<graph::NodeId>> highway_ids_;
-  std::vector<int> position_;  // per node
-  std::vector<int> highway_level_;  // 0 for path nodes
 };
 
 }  // namespace qdc::core

@@ -1,5 +1,8 @@
 #include "core/lb_topology.hpp"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 
 #include "util/expect.hpp"
@@ -8,21 +11,30 @@ namespace qdc::core {
 
 namespace {
 
-/// Smallest 2^k + 1 that is >= length, with k >= 1 (LbNetwork's rounding).
+/// Smallest 2^k + 1 that is >= length, with k >= 1. The caller bounds
+/// length by 2^30 + 1, so every shift stays inside an int.
 int round_up_length(int length) {
   int k = 1;
   while ((1 << k) + 1 < length) ++k;
   return (1 << k) + 1;
 }
 
+/// Level 1..k whose section holds `x`, given each level's first id in
+/// `base` (increasing over levels 1..k).
+int section_level(const std::vector<int>& base, int k, int x) {
+  int lvl = 1;
+  while (lvl < k && x >= base[static_cast<std::size_t>(lvl) + 1]) ++lvl;
+  return lvl;
+}
+
 }  // namespace
 
 LbTopologyView::LbTopologyView(int gamma, int length) : gamma_(gamma) {
   QDC_EXPECT(gamma >= 1, "LbTopologyView: need at least one path");
-  QDC_EXPECT(length >= 3, "LbTopologyView: length must be >= 3");
+  QDC_EXPECT(length >= 3 && length <= (1 << 30) + 1,
+             "LbTopologyView: length must be in [3, 2^30 + 1]");
   length_ = round_up_length(length);
-  highways_ = 0;
-  while ((1 << (highways_ + 1)) <= length_ - 1) ++highways_;
+  highways_ = std::countr_zero(static_cast<unsigned>(length_ - 1));
 
   const int k = highways_;
   count_.assign(static_cast<std::size_t>(k) + 1, 0);
@@ -48,14 +60,14 @@ LbTopologyView::LbTopologyView(int gamma, int length) : gamma_(gamma) {
                       : count_[static_cast<std::size_t>(lvl)];
   }
   col_base_[static_cast<std::size_t>(k) + 1] = static_cast<int>(edges);
-  const std::int64_t lines = line_count();
+  const std::int64_t lines = std::int64_t{gamma_} + k;
   const std::int64_t clique_edges = lines * (lines - 1) / 2;
   clique_base_[0] = static_cast<int>(edges);
   clique_base_[1] = static_cast<int>(edges + clique_edges);
   edges += 2 * clique_edges;
 
   QDC_EXPECT(nodes <= std::numeric_limits<int>::max() &&
-                 2 * edges <= std::numeric_limits<int>::max(),
+                 edges <= std::numeric_limits<int>::max() / 2,
              "LbTopologyView: N(Gamma, L) too large for int node/edge ids");
   nodes_ = static_cast<int>(nodes);
   edges_ = static_cast<int>(edges);
@@ -67,11 +79,69 @@ graph::NodeId LbTopologyView::path_node(int i, int j) const {
   return i * length_ + j - 1;
 }
 
-graph::NodeId LbTopologyView::highway_node_at(int level, int m) const {
-  QDC_EXPECT(level >= 1 && level <= highways_ && m >= 0 &&
-                 m < count_[static_cast<std::size_t>(level)],
-             "LbTopologyView::highway_node_at: out of range");
-  return node_base_[static_cast<std::size_t>(level)] + m;
+graph::NodeId LbTopologyView::highway_node(int level, int j) const {
+  QDC_EXPECT(level >= 1 && level <= highways_ && j >= 1 && j <= length_ &&
+                 (j - 1) % (1 << level) == 0,
+             "LbTopologyView::highway_node: bad level or position");
+  return node_base_[static_cast<std::size_t>(level)] + ((j - 1) >> level);
+}
+
+bool LbTopologyView::is_highway(graph::NodeId v) const {
+  expect_valid_node(v);
+  return v >= gamma_ * length_;
+}
+
+int LbTopologyView::position(graph::NodeId v) const {
+  if (!is_highway(v)) return v % length_ + 1;
+  const int lvl = section_level(node_base_, highways_, v);
+  return 1 + ((v - node_base_[static_cast<std::size_t>(lvl)]) << lvl);
+}
+
+graph::NodeId LbTopologyView::line_start(int l) const {
+  QDC_EXPECT(l >= 0 && l < line_count(), "LbTopologyView: bad line");
+  return clique_member(false, l);
+}
+
+graph::NodeId LbTopologyView::line_end(int l) const {
+  QDC_EXPECT(l >= 0 && l < line_count(), "LbTopologyView: bad line");
+  return clique_member(true, l);
+}
+
+Owner LbTopologyView::owner(graph::NodeId v, int t) const {
+  QDC_EXPECT(t >= 0 && t <= max_simulated_rounds() + 1,
+             "LbTopologyView::owner: time outside the simulation schedule");
+  const int j = position(v);
+  if (j <= t + 1) return Owner::kCarol;
+  if (j >= length_ - t) return Owner::kDavid;
+  return Owner::kServer;
+}
+
+graph::EdgeSubset LbTopologyView::embed_matchings(
+    const std::vector<graph::Edge>& carol_matching,
+    const std::vector<graph::Edge>& david_matching) const {
+  graph::EdgeSubset m(edges_);
+  // Horizontal edges (path and intra-highway) are exactly the ids below
+  // the first column link; column links and cliques stay out (Figure 10).
+  for (graph::EdgeId e = 0; e < col_base_[1]; ++e) m.insert(e);
+  // Matching edge (a, b) is the clique edge between the two lines' start
+  // (E_C) or end (E_D) nodes.
+  const int lines = line_count();
+  for (const bool right : {false, true}) {
+    std::vector<int> covered(static_cast<std::size_t>(lines), 0);
+    for (const graph::Edge& e : right ? david_matching : carol_matching) {
+      QDC_CHECK(e.u >= 0 && e.u < lines && e.v >= 0 && e.v < lines &&
+                    e.u != e.v,
+                "embed_matchings: matching edge out of range");
+      ++covered[static_cast<std::size_t>(e.u)];
+      ++covered[static_cast<std::size_t>(e.v)];
+      m.insert(clique_base_[right ? 1 : 0] +
+               clique_rank(std::min(e.u, e.v), std::max(e.u, e.v)));
+    }
+    QDC_CHECK(std::all_of(covered.begin(), covered.end(),
+                          [](int c) { return c == 1; }),
+              "embed_matchings: not a perfect matching");
+  }
+  return m;
 }
 
 int LbTopologyView::degree(graph::NodeId u) const {
@@ -83,11 +153,7 @@ int LbTopologyView::degree(graph::NodeId u) const {
            ((j - 1) % 2 == 0 ? 1 : 0) +
            (j == 1 || j == length_ ? endpoints : 0);
   }
-  int lvl = 1;
-  while (lvl < highways_ &&
-         u >= node_base_[static_cast<std::size_t>(lvl) + 1]) {
-    ++lvl;
-  }
+  const int lvl = section_level(node_base_, highways_, u);
   const int m = u - node_base_[static_cast<std::size_t>(lvl)];
   const int c = count_[static_cast<std::size_t>(lvl)];
   return (m > 0 ? 1 : 0) + (m < c - 1 ? 1 : 0) + (lvl == 1 ? gamma_ : 1) +
@@ -156,11 +222,7 @@ void LbTopologyView::port_entry(graph::NodeId u, int port,
     clique_port(j == length_, i, p);
     return;
   }
-  int lvl = 1;
-  while (lvl < highways_ &&
-         u >= node_base_[static_cast<std::size_t>(lvl) + 1]) {
-    ++lvl;
-  }
+  const int lvl = section_level(node_base_, highways_, u);
   const int m = u - node_base_[static_cast<std::size_t>(lvl)];
   const int c = count_[static_cast<std::size_t>(lvl)];
   if (m > 0) {
@@ -227,21 +289,13 @@ graph::Edge LbTopologyView::edge(graph::EdgeId e) const {
     return graph::Edge{i * length_ + r, i * length_ + r + 1};
   }
   if (e < col_base_[1]) {  // intra-highway edges
-    int lvl = 1;
-    while (lvl < highways_ &&
-           e >= intra_base_[static_cast<std::size_t>(lvl) + 1]) {
-      ++lvl;
-    }
+    const int lvl = section_level(intra_base_, highways_, e);
     const int m = e - intra_base_[static_cast<std::size_t>(lvl)];
     return graph::Edge{node_base_[static_cast<std::size_t>(lvl)] + m,
                        node_base_[static_cast<std::size_t>(lvl)] + m + 1};
   }
   if (e < clique_base_[0]) {  // column links
-    int lvl = 1;
-    while (lvl < highways_ &&
-           e >= col_base_[static_cast<std::size_t>(lvl) + 1]) {
-      ++lvl;
-    }
+    const int lvl = section_level(col_base_, highways_, e);
     const int t = e - col_base_[static_cast<std::size_t>(lvl)];
     if (lvl == 1) {
       return graph::Edge{node_base_[1] + t / gamma_,

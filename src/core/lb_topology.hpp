@@ -1,19 +1,23 @@
-// Implicit TopologyView of the lower-bound network N(Gamma, L).
+// The lower-bound network N(Gamma, L) of Section 8 (Figures 8, 10, 13):
+// the one definition every bench, test, example and the service use.
 //
-// LbNetwork (core/lb_network.hpp) materializes N(Gamma, L) as a
-// graph::Graph — fine up to ~10^4 nodes, hopeless at the 10^6..10^7 scale
-// the engine benchmarks target, where adjacency lists alone would cost
-// gigabytes. LbTopologyView answers every TopologyView query from the
-// closed-form structure instead: node ids, edge ids, degrees, ports and
-// endpoints are all arithmetic over (Gamma, L, k), with only O(k) section
-// offsets stored.
+// Gamma "lines" of L nodes each: the first Gamma are plain paths
+// P^1..P^Gamma; on top sit k = log2(L-1) highway paths H^1..H^k, where H^i
+// has a node at every position 1 + j 2^i. Highway level 1 connects to all
+// path nodes in its column; level i connects to level i-1 in its column.
+// Columns 1 and L additionally carry cliques over all line endpoints (the
+// leftmost/rightmost clique edges of N'), which is where the server-model
+// matchings E_C and E_D embed. Observation D.2: Theta(Gamma L) nodes and
+// Theta(log L) diameter.
 //
-// The numbering is *identical* to LbNetwork's construction order (nodes:
-// paths row-major, then highway levels; edges: path edges, intra-highway
-// edges, column links level by level, left clique, right clique), so a
-// Network built over this view is bit-for-bit interchangeable with one
-// built over LbNetwork(gamma, length).topology() — a property pinned by
-// tests at small sizes and relied on by the million-node benchmarks.
+// Every query is arithmetic over (Gamma, L, k) with only O(k) section
+// offsets stored, so a Network over this view scales to the 10^6..10^7
+// node benchmarks without materializing adjacency lists. Numbering: nodes
+// are paths row-major, then highway levels; edges are path edges,
+// intra-highway edges, column links level by level, left clique, right
+// clique. congest::materialize(view) inserts the edges in that order, and
+// a Network over either is bit-for-bit interchangeable (pinned by tests
+// against an independent explicit construction).
 #pragma once
 
 #include <vector>
@@ -23,10 +27,14 @@
 
 namespace qdc::core {
 
-class LbTopologyView final : public congest::TopologyView {
+/// Which of the three simulating parties owns a node at a given time step
+/// (Equations 36-38).
+enum class Owner { kCarol, kDavid, kServer };
+
+class LbTopologyView : public congest::TopologyView {
  public:
-  /// Describes N(Gamma, L); L is rounded up to the next 2^k + 1, exactly
-  /// as LbNetwork does.
+  /// Describes N(Gamma, L); L is rounded up to the next 2^k + 1 and must
+  /// be at most 2^30 + 1.
   LbTopologyView(int gamma, int length);
 
   int node_count() const override { return nodes_; }
@@ -40,13 +48,44 @@ class LbTopologyView final : public congest::TopologyView {
   int gamma() const { return gamma_; }
   int length() const { return length_; }          ///< L (after rounding)
   int highway_count() const { return highways_; } ///< k = log2(L - 1)
+  /// Total lines = gamma + k (paths plus highways); the server-model
+  /// instance G lives on this many nodes.
   int line_count() const { return gamma_ + highways_; }
 
   /// Node id of path node v^i_j (path 0 <= i < gamma, position 1 <= j <= L).
   graph::NodeId path_node(int i, int j) const;
 
-  /// Node id of highway node h^lvl at index m (position 1 + m 2^lvl).
-  graph::NodeId highway_node_at(int level, int m) const;
+  /// Node id of highway node h^level_j (level 1 <= level <= k; position j
+  /// must be of the form 1 + m 2^level).
+  graph::NodeId highway_node(int level, int j) const;
+
+  /// True if `v` is a highway node.
+  bool is_highway(graph::NodeId v) const;
+
+  /// Column position (1..L) of any node.
+  int position(graph::NodeId v) const;
+
+  /// Leftmost (position 1) and rightmost (position L) node of line `l`
+  /// (paths first, then highways).
+  graph::NodeId line_start(int l) const;
+  graph::NodeId line_end(int l) const;
+
+  /// Owner of node v at time t per Equations (36)-(38): Carol owns columns
+  /// <= t+1, David owns columns >= L-t, the server owns the middle.
+  /// Requires 0 <= t <= L/2 - 1.
+  Owner owner(graph::NodeId v, int t) const;
+
+  /// Largest time step the ownership schedule supports: L/2 - 2.
+  int max_simulated_rounds() const { return length_ / 2 - 2; }
+
+  /// Embeds a server-model instance G = (U, E_C + E_D) given by two perfect
+  /// matchings over the line_count() lines: the subnetwork M consists of
+  /// all path and highway edges, E_C as left-clique edges between line
+  /// starts, and E_D as right-clique edges between line ends (Figure 10's
+  /// bold edges). Observation 8.1: M has exactly as many cycles as G.
+  graph::EdgeSubset embed_matchings(
+      const std::vector<graph::Edge>& carol_matching,
+      const std::vector<graph::Edge>& david_matching) const;
 
  private:
   /// Resolves port `port` of node `u` to (edge id, peer id) in one walk
@@ -54,8 +93,7 @@ class LbTopologyView final : public congest::TopologyView {
   void port_entry(graph::NodeId u, int port, graph::EdgeId* edge,
                   graph::NodeId* peer) const;
 
-  /// Member `l` (line index; paths first, then highways) of the left or
-  /// right end-column clique.
+  /// Member `l` (line index) of the left or right end-column clique.
   graph::NodeId clique_member(bool right, int l) const;
 
   /// Lexicographic rank of pair (a, b), a < b, among the line_count()

@@ -15,7 +15,7 @@
 #pragma once
 
 #include "congest/network.hpp"
-#include "core/lb_network.hpp"
+#include "core/lb_topology.hpp"
 
 namespace qdc::core {
 
@@ -30,10 +30,11 @@ struct SimulationAccounting {
   std::int64_t total_charged() const { return carol_fields + david_fields; }
 };
 
-/// Re-accounts the traced execution of `net` (which must have been built on
-/// `lbn.topology()` with record_trace enabled, and run for at most
-/// lbn.max_simulated_rounds() rounds) as the three-party simulation.
-SimulationAccounting account_three_party_cost(const LbNetwork& lbn,
+/// Re-accounts the traced execution of `net` (which must have been built
+/// over `lb` or its materialized graph, run with record_trace enabled and
+/// for at most lb.max_simulated_rounds() rounds) as the three-party
+/// simulation.
+SimulationAccounting account_three_party_cost(const LbTopologyView& lb,
                                               const congest::Network& net);
 
 }  // namespace qdc::core

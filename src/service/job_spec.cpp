@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "core/lb_topology.hpp"
 #include "service/wire.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
@@ -129,14 +130,27 @@ std::string JobSpec::validate() const {
       if (edges < nodes - 1) return "gnm needs edges >= nodes - 1";
       if (edges > kMaxEdges) return "gnm edge count exceeds the server cap";
       break;
-    case TopologyKind::LbNetwork:
+    case TopologyKind::LbNetwork: {
       if (gamma < 1) return "lb_network needs gamma >= 1";
-      if (length < 2) return "lb_network needs length >= 2";
       if (gamma > kMaxGamma) return "lb_network gamma exceeds the server cap";
       if (length > kMaxLength) {
         return "lb_network length exceeds the server cap";
       }
+      // Canonical form: the view rounds L up to 2^k + 1, so any other
+      // length would name an already-named network under a second key.
+      if (length < 3 || ((length - 1) & (length - 2)) != 0) {
+        return "lb_network needs length = 2^k + 1 with k >= 1";
+      }
+      const core::LbTopologyView view(static_cast<int>(gamma),
+                                      static_cast<int>(length));
+      if (static_cast<std::uint32_t>(view.node_count()) > kMaxNodes) {
+        return "lb_network node count exceeds the server cap";
+      }
+      if (static_cast<std::uint32_t>(view.edge_count()) > kMaxEdges) {
+        return "lb_network edge count exceeds the server cap";
+      }
       break;
+    }
   }
   if (uses_nodes && nodes > kMaxNodes) {
     return "node count exceeds the server cap";

@@ -13,7 +13,7 @@
 #include "congest/stats.hpp"
 #include "congest/testing.hpp"
 #include "congest/topology.hpp"
-#include "core/lb_network.hpp"
+#include "core/lb_topology.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "util/expect.hpp"
@@ -79,8 +79,7 @@ RunResult run_mix_with_threads(Network& net, int threads) {
   return result;
 }
 
-void expect_thread_count_invariance(graph::Graph topology) {
-  Network net(std::move(topology), NetworkConfig{.bandwidth = 8});
+void expect_thread_count_invariance(Network& net) {
   const RunResult serial = run_mix_with_threads(net, 1);
   EXPECT_GT(serial.stats.messages, 0);
   for (const int threads : {2, 8}) {
@@ -93,16 +92,20 @@ void expect_thread_count_invariance(graph::Graph topology) {
 
 TEST(EngineDeterminism, SeededRandomTopology) {
   Rng rng(7);
-  expect_thread_count_invariance(graph::random_connected(96, 0.08, rng));
+  Network net(graph::random_connected(96, 0.08, rng),
+              NetworkConfig{.bandwidth = 8});
+  expect_thread_count_invariance(net);
 }
 
 TEST(EngineDeterminism, PathTopology) {
-  expect_thread_count_invariance(graph::path_graph(65));
+  Network net(graph::path_graph(65), NetworkConfig{.bandwidth = 8});
+  expect_thread_count_invariance(net);
 }
 
 TEST(EngineDeterminism, LbNetworkTopology) {
-  const core::LbNetwork lbn(4, 9);
-  expect_thread_count_invariance(lbn.topology());
+  Network net(std::make_shared<const core::LbTopologyView>(4, 9),
+              NetworkConfig{.bandwidth = 8});
+  expect_thread_count_invariance(net);
 }
 
 TEST(EngineDeterminism, RepeatedRunsAreIdentical) {
@@ -324,8 +327,8 @@ TEST(EngineDeterminism, FrontierMatchesDenseOnRandomTopology) {
 }
 
 TEST(EngineDeterminism, FrontierMatchesDenseOnLbNetwork) {
-  const core::LbNetwork lbn(4, 9);
-  Network net(lbn.topology(), NetworkConfig{.bandwidth = 8});
+  Network net(std::make_shared<const core::LbTopologyView>(4, 9),
+              NetworkConfig{.bandwidth = 8});
   expect_frontier_matches_dense(net);
 }
 

@@ -2,11 +2,13 @@
 // indistinguishable from the materialized graph::Graph built by inserting
 // its edges in edge-id order — same counts, degrees, ports, peers and
 // endpoints — and a Network built over the view must behave bit-for-bit
-// like one built over the graph. Also covers the LbTopologyView /
-// LbNetwork numbering equality and the WeightedShardPlan geometry.
+// like one built over the graph. Also pins LbTopologyView against an
+// independent explicit construction of N(Gamma, L), and covers the
+// WeightedShardPlan geometry.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "congest/network.hpp"
@@ -21,17 +23,6 @@
 
 namespace qdc::congest {
 namespace {
-
-/// Materializes any view by inserting its edges in edge-id order — by the
-/// port contract this must reproduce the view exactly.
-graph::Graph materialize(const TopologyView& view) {
-  graph::Graph g(view.node_count());
-  for (EdgeId e = 0; e < view.edge_count(); ++e) {
-    const graph::Edge ends = view.edge(e);
-    g.add_edge(ends.u, ends.v);
-  }
-  return g;
-}
 
 void expect_views_equal(const TopologyView& a, const TopologyView& b) {
   ASSERT_EQ(a.node_count(), b.node_count());
@@ -90,32 +81,117 @@ TEST(TopologyView, GnmIsSeedStable) {
   expect_views_equal(a, b);
 }
 
-TEST(TopologyView, LbTopologyMatchesLbNetwork) {
-  for (const auto& [gamma, length] : std::vector<std::pair<int, int>>{
-           {1, 3}, {2, 5}, {3, 9}, {4, 17}, {2, 33}}) {
-    const core::LbTopologyView view(gamma, length);
-    const core::LbNetwork lbn(gamma, length);
+/// Independent reference for N(Gamma, L) with L = 2^k + 1: the explicit
+/// construction loop (path edges, intra-highway edges, column links level
+/// by level, left clique, right clique), recording each node's position
+/// and highway level as it is built.
+struct LbReference {
+  graph::Graph graph;
+  std::vector<int> position;                 // per node, 1..L
+  std::vector<int> level;                    // per node; 0 on paths
+  std::vector<std::vector<NodeId>> highway;  // highway[lvl - 1][m]
+};
+
+LbReference build_lb_reference(int gamma, int length) {
+  int k = 0;
+  while ((1 << (k + 1)) <= length - 1) ++k;
+  int total = gamma * length;
+  std::vector<int> level_base(k + 1, 0);
+  for (int lvl = 1; lvl <= k; ++lvl) {
+    level_base[lvl] = total;
+    total += (length - 1) / (1 << lvl) + 1;
+  }
+  LbReference ref{graph::Graph(total), std::vector<int>(total, 0),
+                  std::vector<int>(total, 0),
+                  std::vector<std::vector<NodeId>>(k)};
+  const auto path_node = [length](int i, int j) {
+    return i * length + j - 1;
+  };
+  for (int i = 0; i < gamma; ++i) {
+    for (int j = 1; j <= length; ++j) ref.position[path_node(i, j)] = j;
+    for (int j = 1; j < length; ++j) {
+      ref.graph.add_edge(path_node(i, j), path_node(i, j + 1));
+    }
+  }
+  for (int lvl = 1; lvl <= k; ++lvl) {
+    std::vector<NodeId>& ids = ref.highway[lvl - 1];
+    for (int j = 1, m = 0; j <= length; j += 1 << lvl, ++m) {
+      const NodeId id = level_base[lvl] + m;
+      ids.push_back(id);
+      ref.position[id] = j;
+      ref.level[id] = lvl;
+      if (m > 0) ref.graph.add_edge(ids[m - 1], id);
+    }
+  }
+  // Level 1 links to every path in its column, level i to level i - 1.
+  for (int lvl = 1; lvl <= k; ++lvl) {
+    for (const NodeId h : ref.highway[lvl - 1]) {
+      const int j = ref.position[h];
+      if (lvl == 1) {
+        for (int i = 0; i < gamma; ++i) {
+          ref.graph.add_edge(h, path_node(i, j));
+        }
+      } else {
+        const int below = (j - 1) / (1 << (lvl - 1));
+        ref.graph.add_edge(h, ref.highway[lvl - 2][below]);
+      }
+    }
+  }
+  // End-column cliques over all line endpoints, paths first.
+  for (const bool right : {false, true}) {
+    std::vector<NodeId> column;
+    for (int i = 0; i < gamma; ++i) {
+      column.push_back(path_node(i, right ? length : 1));
+    }
+    for (const std::vector<NodeId>& ids : ref.highway) {
+      column.push_back(right ? ids.back() : ids.front());
+    }
+    for (std::size_t a = 0; a < column.size(); ++a) {
+      for (std::size_t b = a + 1; b < column.size(); ++b) {
+        ref.graph.add_edge(column[a], column[b]);
+      }
+    }
+  }
+  return ref;
+}
+
+const std::vector<std::pair<int, int>> kLbShapes{
+    {1, 3}, {2, 5}, {3, 9}, {4, 17}, {2, 33}};
+
+TEST(TopologyView, LbTopologyMatchesReference) {
+  for (const auto& [gamma, length] : kLbShapes) {
     SCOPED_TRACE(::testing::Message()
                  << "gamma=" << gamma << " length=" << length);
-    expect_views_equal(view, MaterializedView(lbn.topology()));
+    const MaterializedView reference(build_lb_reference(gamma, length).graph);
+    expect_views_equal(core::LbTopologyView(gamma, length), reference);
+    // The perfbench shim materializes the same network.
+    expect_views_equal(
+        MaterializedView(core::LbNetwork(gamma, length).topology()),
+        reference);
   }
 }
 
-TEST(TopologyView, LbTopologyNodeHelpersMatchLbNetwork) {
-  const core::LbTopologyView view(3, 9);
-  const core::LbNetwork lbn(3, 9);
-  EXPECT_EQ(view.length(), lbn.length());
-  EXPECT_EQ(view.highway_count(), lbn.highway_count());
-  EXPECT_EQ(view.line_count(), lbn.line_count());
-  for (int i = 0; i < 3; ++i) {
-    for (int j = 1; j <= view.length(); ++j) {
-      EXPECT_EQ(view.path_node(i, j), lbn.path_node(i, j));
+TEST(TopologyView, LbTopologyNodeHelpersMatchReference) {
+  for (const auto& [gamma, length] : kLbShapes) {
+    SCOPED_TRACE(::testing::Message()
+                 << "gamma=" << gamma << " length=" << length);
+    const core::LbTopologyView view(gamma, length);
+    const LbReference ref = build_lb_reference(gamma, length);
+    ASSERT_EQ(view.length(), length);
+    ASSERT_EQ(view.highway_count(), static_cast<int>(ref.highway.size()));
+    for (NodeId v = 0; v < view.node_count(); ++v) {
+      EXPECT_EQ(view.position(v), ref.position[v]) << "node " << v;
+      EXPECT_EQ(view.is_highway(v), ref.level[v] > 0) << "node " << v;
+      EXPECT_EQ(ref.level[v] > 0
+                    ? view.highway_node(ref.level[v], ref.position[v])
+                    : view.path_node(v / length, ref.position[v]),
+                v);
     }
-  }
-  for (int lvl = 1; lvl <= view.highway_count(); ++lvl) {
-    const int step = 1 << lvl;
-    for (int j = 1, m = 0; j <= view.length(); j += step, ++m) {
-      EXPECT_EQ(view.highway_node_at(lvl, m), lbn.highway_node(lvl, j));
+    for (int l = 0; l < view.line_count(); ++l) {
+      EXPECT_EQ(view.line_start(l),
+                l < gamma ? l * length : ref.highway[l - gamma].front());
+      EXPECT_EQ(view.line_end(l), l < gamma ? (l + 1) * length - 1
+                                            : ref.highway[l - gamma].back());
     }
   }
 }
@@ -131,6 +207,12 @@ TEST(TopologyView, GuardsRejectBadArguments) {
   EXPECT_THROW(CycleView(2), ContractError);
   EXPECT_THROW(BalancedTreeView(3, 0), ContractError);
   EXPECT_THROW(GnmView(5, 3, 1), ContractError);  // below spanning backbone
+  EXPECT_THROW(core::LbTopologyView(0, 9), ContractError);
+  EXPECT_THROW(core::LbTopologyView(1, 2), ContractError);
+  // 2^30 + 2 would round up to 2^31 + 1: rejected before any shift.
+  EXPECT_THROW(core::LbTopologyView(1, (1 << 30) + 2), ContractError);
+  // 2^30 + 1 is a valid length, but N(1, 2^30 + 1) overflows int node ids.
+  EXPECT_THROW(core::LbTopologyView(1, (1 << 30) + 1), ContractError);
 }
 
 /// Order-sensitive mixing probe (same shape as the determinism suite's).

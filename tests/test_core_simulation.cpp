@@ -4,8 +4,11 @@
 // charged (Appendix D's case analysis).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+
 #include "congest/network.hpp"
-#include "core/lb_network.hpp"
+#include "core/lb_topology.hpp"
 #include "core/simulation.hpp"
 #include "dist/tree.hpp"
 #include "util/expect.hpp"
@@ -13,8 +16,13 @@
 namespace qdc::core {
 namespace {
 
-congest::Network make_net(const LbNetwork& lbn, int bandwidth = 8) {
-  return congest::Network(lbn.topology(),
+std::shared_ptr<const LbTopologyView> make_lb(int gamma, int length) {
+  return std::make_shared<const LbTopologyView>(gamma, length);
+}
+
+congest::Network make_net(std::shared_ptr<const LbTopologyView> lb,
+                          int bandwidth = 8) {
+  return congest::Network(std::move(lb),
                           congest::NetworkConfig{.bandwidth = bandwidth});
 }
 
@@ -22,12 +30,12 @@ congest::Network make_net(const LbNetwork& lbn, int bandwidth = 8) {
 constexpr congest::RunOptions kTraced{.record_trace = true};
 
 TEST(SimulationTheorem, BfsTreeConstructionWithinBound) {
-  const LbNetwork lbn(3, 129);
-  auto net = make_net(lbn);
-  const auto tree = dist::build_bfs_tree(net, lbn.path_node(0, 1), kTraced);
-  ASSERT_LE(tree.stats.rounds, lbn.max_simulated_rounds())
+  const auto lb = make_lb(3, 129);
+  auto net = make_net(lb);
+  const auto tree = dist::build_bfs_tree(net, lb->path_node(0, 1), kTraced);
+  ASSERT_LE(tree.stats.rounds, lb->max_simulated_rounds())
       << "BFS must fit in the schedule for the harness to apply";
-  const auto acc = account_three_party_cost(lbn, net);
+  const auto acc = account_three_party_cost(*lb, net);
   EXPECT_EQ(acc.rounds, tree.stats.rounds);
   EXPECT_LE(acc.max_charged_per_round, acc.per_round_bound);
   EXPECT_TRUE(acc.only_highway_edges_charged);
@@ -35,16 +43,16 @@ TEST(SimulationTheorem, BfsTreeConstructionWithinBound) {
 }
 
 TEST(SimulationTheorem, AggregationWithinBound) {
-  const LbNetwork lbn(4, 65);
-  auto net = make_net(lbn);
-  const auto tree = dist::build_bfs_tree(net, lbn.path_node(0, 1), kTraced);
+  const auto lb = make_lb(4, 65);
+  auto net = make_net(lb);
+  const auto tree = dist::build_bfs_tree(net, lb->path_node(0, 1), kTraced);
   std::vector<dist::Payload> contrib(
       static_cast<std::size_t>(net.node_count()), dist::Payload{1});
   const auto agg =
       run_aggregate(net, tree, {dist::Combiner::kSum}, contrib, kTraced);
   EXPECT_EQ(agg.values[0], net.node_count());
-  ASSERT_LE(agg.stats.rounds, lbn.max_simulated_rounds());
-  const auto acc = account_three_party_cost(lbn, net);
+  ASSERT_LE(agg.stats.rounds, lb->max_simulated_rounds());
+  const auto acc = account_three_party_cost(*lb, net);
   EXPECT_LE(acc.max_charged_per_round, acc.per_round_bound);
   EXPECT_TRUE(acc.only_highway_edges_charged);
 }
@@ -75,15 +83,15 @@ class FloodEverything : public congest::NodeProgram {
 };
 
 TEST(SimulationTheorem, WorstCaseTrafficStillWithinBound) {
-  const LbNetwork lbn(3, 65);
-  auto net = make_net(lbn, /*bandwidth=*/4);
-  const int t = lbn.max_simulated_rounds() - 2;
+  const auto lb = make_lb(3, 65);
+  auto net = make_net(lb, /*bandwidth=*/4);
+  const int t = lb->max_simulated_rounds() - 2;
   net.install([&](congest::NodeId, const congest::NodeContext&) {
     return std::make_unique<FloodEverything>(t);
   });
   const auto stats = net.run({.max_rounds = t + 2, .record_trace = true});
   ASSERT_TRUE(stats.completed);
-  const auto acc = account_three_party_cost(lbn, net);
+  const auto acc = account_three_party_cost(*lb, net);
   EXPECT_LE(acc.max_charged_per_round, acc.per_round_bound);
   EXPECT_TRUE(acc.only_highway_edges_charged);
   // With everything saturated, the charge should be close to the bound
@@ -92,23 +100,23 @@ TEST(SimulationTheorem, WorstCaseTrafficStillWithinBound) {
 }
 
 TEST(SimulationTheorem, RefusesRunsBeyondTheSchedule) {
-  const LbNetwork lbn(2, 9);  // max_simulated_rounds = 2
-  auto net = make_net(lbn);
+  const auto lb = make_lb(2, 9);  // max_simulated_rounds = 2
+  auto net = make_net(lb);
   net.install([&](congest::NodeId, const congest::NodeContext&) {
     return std::make_unique<FloodEverything>(10);
   });
   net.run({.max_rounds = 12, .record_trace = true});
-  EXPECT_THROW(account_three_party_cost(lbn, net), ModelError);
+  EXPECT_THROW(account_three_party_cost(*lb, net), ModelError);
 }
 
 TEST(SimulationTheorem, RefusesUntracedRuns) {
-  const LbNetwork lbn(2, 17);
-  congest::Network net(lbn.topology(), congest::NetworkConfig{});
+  const auto lb = make_lb(2, 17);
+  congest::Network net(lb, congest::NetworkConfig{});
   net.install([&](congest::NodeId, const congest::NodeContext&) {
     return std::make_unique<FloodEverything>(2);
   });
   net.run({.max_rounds = 5});
-  EXPECT_THROW(account_three_party_cost(lbn, net), ContractError);
+  EXPECT_THROW(account_three_party_cost(*lb, net), ContractError);
 }
 
 }  // namespace

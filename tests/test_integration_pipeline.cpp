@@ -5,9 +5,11 @@
 // behind Theorems 3.5/3.6.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "comm/problems.hpp"
 #include "congest/network.hpp"
-#include "core/lb_network.hpp"
+#include "core/lb_topology.hpp"
 #include "dist/tree.hpp"
 #include "dist/verify.hpp"
 #include "gadgets/ham_gadgets.hpp"
@@ -57,16 +59,17 @@ TEST(Pipeline, GadgetInstancesThroughDistributedVerification) {
 // through the actual distributed algorithm rather than sequentially.
 TEST(Pipeline, EmbeddedMatchingsThroughDistributedVerification) {
   Rng rng(11);
-  const core::LbNetwork lbn(4, 17);  // lines = 4 + 4 = 8
-  const int lines = lbn.line_count();
+  const auto lb = std::make_shared<const core::LbTopologyView>(4, 17);
+  // lines = 4 + 4 = 8
+  const int lines = lb->line_count();
   ASSERT_EQ(lines % 2, 0);
-  congest::Network net(lbn.topology(), congest::NetworkConfig{.bandwidth = 8});
-  const auto tree = dist::build_bfs_tree(net, lbn.path_node(0, 1));
+  congest::Network net(lb, congest::NetworkConfig{.bandwidth = 8});
+  const auto tree = dist::build_bfs_tree(net, lb->path_node(0, 1));
   int hams = 0;
   for (int t = 0; t < 8; ++t) {
     const auto ec = graph::random_perfect_matching(lines, rng);
     const auto ed = graph::random_perfect_matching(lines, rng);
-    const auto m = lbn.embed_matchings(ec, ed);
+    const auto m = lb->embed_matchings(ec, ed);
     graph::Graph g(lines);
     for (const auto& e : ec) g.add_edge(e.u, e.v);
     for (const auto& e : ed) g.add_edge(e.u, e.v);

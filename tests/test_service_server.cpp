@@ -363,7 +363,7 @@ TEST(ServiceServer, FourConcurrentClientsMatchSerialResults) {
     s.topology = TopologyKind::LbNetwork;
     s.algorithm = AlgorithmKind::Census;
     s.gamma = 2;
-    s.length = 4;
+    s.length = 5;
     specs.push_back(s);
   }
   {

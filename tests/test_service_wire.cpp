@@ -267,6 +267,36 @@ TEST(ServiceSpec, ValidateEnforcesTopologyMinimums) {
   EXPECT_FALSE(tree.validate().empty());
   tree.arity = 1;  // arity 1 is the path 0-1-...-7
   EXPECT_TRUE(tree.validate().empty());
+
+  JobSpec lb;
+  lb.topology = TopologyKind::LbNetwork;
+  lb.gamma = 1000;
+  lb.length = 1025;  // million_lb: 1,026,033 nodes, 2,557,633 edges
+  EXPECT_TRUE(lb.validate().empty());
+  // The view builds only L = 2^k + 1 with k >= 1: length 4 would run
+  // N(2, 5) under a second cache key, and length 2 could not run at all.
+  lb.gamma = 2;
+  for (const std::uint32_t length : {2u, 4u, 6u, 65536u}) {
+    lb.length = length;
+    EXPECT_FALSE(lb.validate().empty()) << "length=" << length;
+  }
+  lb.length = 3;
+  EXPECT_TRUE(lb.validate().empty());
+  lb.length = 5;
+  EXPECT_TRUE(lb.validate().empty());
+  // Within the gamma and length caps, but past the node or edge cap.
+  lb.gamma = 4096;
+  lb.length = 65536;  // would round up to N(4096, 65537): 268,505,103 nodes
+  EXPECT_FALSE(lb.validate().empty());
+  lb.length = 32769;  // 134,254,606 nodes
+  EXPECT_FALSE(lb.validate().empty());
+  lb.length = 257;  // 1,052,935 nodes, but 18,416,061 edges > 2^23
+  EXPECT_FALSE(lb.validate().empty());
+  lb.gamma = 2048;
+  lb.length = 1025;  // 2,100,233 nodes > 2^21
+  EXPECT_FALSE(lb.validate().empty());
+  lb.gamma = 2040;  // 2,092,033 nodes
+  EXPECT_TRUE(lb.validate().empty());
 }
 
 TEST(ServiceSpec, ValidateEnforcesMstBandwidthFloor) {

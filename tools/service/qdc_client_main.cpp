@@ -16,11 +16,19 @@
 //   qdc_client --socket PATH admin
 //   qdc_client --socket PATH shutdown [--drain]
 //
+// Numeric values are read with strtoull base 0 (decimal, 0x hex, 0 octal)
+// and must be whole, unsigned and fit the field (u32 spec sizes, u64
+// seeds, ids and timeouts); anything else prints the usage line and exits
+// 2 before connecting.
+//
 // Exit codes: 0 success, 1 server answered an error, 2 usage/connect.
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,6 +53,23 @@ int usage() {
                "  poll|cancel: --job ID\n"
                "  shutdown: [--drain]\n");
   return 2;
+}
+
+/// Parses all of `text` as an unsigned integer that fits `Field`: it must
+/// start with a digit (no sign, no blank), end where strtoull stops, and
+/// not overflow.
+template <typename Field>
+bool parse_unsigned(const char* text, Field& out) {
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 0);
+  if (std::isdigit(static_cast<unsigned char>(text[0])) == 0 ||
+      *end != '\0' || errno == ERANGE ||
+      value > std::numeric_limits<Field>::max()) {
+    return false;
+  }
+  out = static_cast<Field>(value);
+  return true;
 }
 
 void print_status(const qdc::service::JobStatus& status) {
@@ -108,9 +133,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
-    auto next_u64 = [&]() -> std::uint64_t {
-      return static_cast<std::uint64_t>(std::strtoull(argv[++i], nullptr, 0));
-    };
+    bool parsed = true;
     if (arg == "--socket" && has_value) {
       socket_path = argv[++i];
     } else if (arg == "submit" || arg == "poll" || arg == "cancel" ||
@@ -125,34 +148,35 @@ int main(int argc, char** argv) {
           qdc::service::parse_algorithm_kind(argv[++i], &spec.algorithm);
       if (!algo_set) return usage();
     } else if (arg == "--nodes" && has_value) {
-      spec.nodes = static_cast<std::uint32_t>(next_u64());
+      parsed = parse_unsigned(argv[++i], spec.nodes);
     } else if (arg == "--arity" && has_value) {
-      spec.arity = static_cast<std::uint32_t>(next_u64());
+      parsed = parse_unsigned(argv[++i], spec.arity);
     } else if (arg == "--edges" && has_value) {
-      spec.edges = static_cast<std::uint32_t>(next_u64());
+      parsed = parse_unsigned(argv[++i], spec.edges);
     } else if (arg == "--gamma" && has_value) {
-      spec.gamma = static_cast<std::uint32_t>(next_u64());
+      parsed = parse_unsigned(argv[++i], spec.gamma);
     } else if (arg == "--length" && has_value) {
-      spec.length = static_cast<std::uint32_t>(next_u64());
+      parsed = parse_unsigned(argv[++i], spec.length);
     } else if (arg == "--bandwidth" && has_value) {
-      spec.bandwidth = static_cast<std::uint32_t>(next_u64());
+      parsed = parse_unsigned(argv[++i], spec.bandwidth);
     } else if (arg == "--max-rounds" && has_value) {
-      spec.max_rounds = static_cast<std::uint32_t>(next_u64());
+      parsed = parse_unsigned(argv[++i], spec.max_rounds);
     } else if (arg == "--topology-seed" && has_value) {
-      spec.topology_seed = next_u64();
+      parsed = parse_unsigned(argv[++i], spec.topology_seed);
     } else if (arg == "--shared-seed" && has_value) {
-      spec.shared_seed = next_u64();
+      parsed = parse_unsigned(argv[++i], spec.shared_seed);
     } else if (arg == "--no-wait") {
       submit_options.wait = false;
     } else if (arg == "--timeout-us" && has_value) {
-      submit_options.timeout_us = next_u64();
+      parsed = parse_unsigned(argv[++i], submit_options.timeout_us);
     } else if (arg == "--job" && has_value) {
-      job_id = next_u64();
+      parsed = parse_unsigned(argv[++i], job_id);
     } else if (arg == "--drain") {
       drain = true;
     } else {
       return usage();
     }
+    if (!parsed) return usage();
   }
   if (socket_path.empty() || command.empty()) return usage();
   if (command == "submit" && (!topology_set || !algo_set)) return usage();
