@@ -44,8 +44,7 @@ int main(int argc, char** argv) {
               "sub-runs) vs the evaluated lower bound:\n");
   std::printf("%6s %6s %9s | %7s %7s %7s %7s %7s %7s | %9s\n", "n", "D",
               "LB", "Ham", "ST", "Conn", "Bipart", "Cut", "stConn", "LB<=UB?");
-  std::vector<int> sizes = {64, 128, 256};
-  if (harness.smoke()) sizes = {64, 128};
+  const std::vector<int> sizes = {64, 128, 256};
   struct VerifierInput {
     int n = 0;
     graph::Graph topo;
@@ -95,8 +94,7 @@ int main(int argc, char** argv) {
   std::printf("fooling-set certificates for Gap-Eq (Section 6, via "
               "Gilbert-Varshamov codes, beta = 0.05):\n");
   std::printf("%6s %14s %20s\n", "n", "fool1 size", "GV bound 2^(1-H)n");
-  std::vector<std::size_t> code_sizes = {10, 14, 18};
-  if (harness.smoke()) code_sizes = {10, 14};
+  const std::vector<std::size_t> code_sizes = {10, 14, 18};
   const std::vector<std::string> code_rows = harness.sweep<std::string>(
       "greedy_code", static_cast<int>(code_sizes.size()),
       [&](const util::SweepJob& job) {

@@ -222,7 +222,7 @@ CaseResult run_case(const std::string& name, int qubits, int reps,
 /// The sweep axis: `jobs` independent serial Grover searches batched
 /// through a SweepHarness per worker count. Job outcomes land in
 /// job-indexed slots; their fold must match at every worker count.
-SweepResult run_sweep_section(int jobs, int job_qubits, bool smoke,
+SweepResult run_sweep_section(int jobs, int job_qubits,
                               const std::vector<int>& workers) {
   SweepResult result;
   result.jobs = jobs;
@@ -231,8 +231,7 @@ SweepResult run_sweep_section(int jobs, int job_qubits, bool smoke,
   for (const int w : workers) {
     qdc::bench::SweepHarness harness(
         "bench_quantum_scaling",
-        qdc::bench::HarnessOptions{.sweep_threads = w, .smoke = smoke,
-                                   .out = ""});
+        qdc::bench::HarnessOptions{.sweep_threads = w, .out = ""});
     std::vector<std::uint64_t> found(static_cast<std::size_t>(jobs), 0);
     const auto start = std::chrono::steady_clock::now();
     harness.run_section(
@@ -383,7 +382,7 @@ int main(int argc, char** argv) {
   const int sweep_jobs = gate ? 8 : smoke ? 4 : 16;
   const int sweep_qubits = gate ? 10 : smoke ? 9 : 11;
   const SweepResult sweep =
-      run_sweep_section(sweep_jobs, sweep_qubits, smoke, thread_counts);
+      run_sweep_section(sweep_jobs, sweep_qubits, thread_counts);
 
   write_json(out_path, cases, sweep, smoke, mode);
   for (const CaseResult& cr : cases) {

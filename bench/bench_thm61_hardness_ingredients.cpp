@@ -9,10 +9,6 @@
 //    validated, and compared against the 2^{(1 - H(2 beta)) n} bound.
 //  * The trivial upper bounds: stream-to-server protocols cost 2n, and the
 //    Section 3.1 two-party simulation matches exactly.
-//
-// --smoke drops the n = 20 code row (greedy_code over all 2^20 words, then a
-// fooling-set check quadratic in the code size). The code table draws no
-// randomness, so the rows after it are the same in both modes.
 #include <cmath>
 #include <cstdio>
 
@@ -26,7 +22,7 @@
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  const bench::HarnessOptions options = bench::parse_harness_flags(argc, argv);
+  bench::parse_harness_flags(argc, argv);
   Rng rng(97);
 
   std::printf("=== Theorem 6.1 ingredients ===\n\n");
@@ -58,7 +54,6 @@ int main(int argc, char** argv) {
   std::printf("%4s %6s %8s %12s %12s %10s\n", "n", "delta", "|code|",
               "GV bound", "2^(1-H)n", "valid?");
   for (const std::size_t n : {8, 12, 16, 20}) {
-    if (options.smoke && n == 20) continue;
     const std::size_t delta = std::max<std::size_t>(1, n / 8);
     const auto code = comm::greedy_code(n, 2 * delta);
     const auto pairs = comm::gap_eq_fooling_set(code);

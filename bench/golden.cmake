@@ -1,10 +1,10 @@
 # Golden checks for the figure benches, run as CTests.
-#   -DBENCH=<exe> -DGOLDEN=<file> -DWORKDIR=<dir>: run BENCH --smoke at 1
-#     and at 4 sweep workers; each stdout must equal GOLDEN byte for byte.
+#   -DBENCH=<exe> -DGOLDEN=<file> -DWORKDIR=<dir>: run BENCH at 1 and at 4
+#     sweep workers; each stdout must equal GOLDEN byte for byte.
 #   -DBENCH_DIR=<dir> -DNAMES=<a,b,...> -DFLAG=<flag>: each named bench,
 #     given only FLAG, must exit 2 with an error that names FLAG.
-#   ... -DVALUES=<v1,v2,...>: each named bench, given --smoke FLAG v for
-#     each value v, must exit 2 with an error that names FLAG.
+#   ... -DVALUES=<v1,v2,...>: each named bench, given FLAG v for each
+#     value v, must exit 2 with an error that names FLAG.
 
 function(expect_usage_error name expect)
   execute_process(COMMAND ${BENCH_DIR}/${name} ${ARGN}
@@ -23,7 +23,7 @@ if(DEFINED FLAG)
   foreach(name IN LISTS names)
     if(DEFINED VALUES)
       foreach(value IN LISTS values)
-        expect_usage_error(${name} "${FLAG} wants" --smoke ${FLAG} ${value})
+        expect_usage_error(${name} "${FLAG} wants" ${FLAG} ${value})
       endforeach()
     else()
       expect_usage_error(${name} "unknown flag '${FLAG}'" ${FLAG})
@@ -35,13 +35,13 @@ endif()
 get_filename_component(name ${BENCH} NAME)
 foreach(threads 1 4)
   set(actual ${WORKDIR}/${name}.t${threads}.txt)
-  execute_process(COMMAND ${BENCH} --smoke --sweep-threads ${threads}
+  execute_process(COMMAND ${BENCH} --sweep-threads ${threads}
                   RESULT_VARIABLE rc OUTPUT_FILE ${actual} ERROR_VARIABLE err)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${GOLDEN} ${actual}
                   RESULT_VARIABLE differs)
   if(NOT rc EQUAL 0 OR NOT differs EQUAL 0)
     execute_process(COMMAND diff -u ${GOLDEN} ${actual})
-    message(FATAL_ERROR "${name} --smoke --sweep-threads ${threads}: exit "
+    message(FATAL_ERROR "${name} --sweep-threads ${threads}: exit "
                         "${rc}; stdout ${actual} vs golden ${GOLDEN}\n${err}")
   endif()
 endforeach()

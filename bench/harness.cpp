@@ -24,7 +24,6 @@ double seconds_since(Clock::time_point start) {
                "error: %s\n"
                "shared bench flags:\n"
                "  --sweep-threads N   sweep-level workers (0 = hardware)\n"
-               "  --smoke             CI-sized grids\n"
                "  --out PATH          write a JSON timing report\n",
                message.c_str());
   std::exit(2);
@@ -47,8 +46,6 @@ HarnessOptions parse_harness_flags(int argc, char** argv) {
                     std::to_string(INT_MAX) + "]");
       }
       options.sweep_threads = static_cast<int>(value);
-    } else if (arg == "--smoke") {
-      options.smoke = true;
     } else if (arg == "--out") {
       if (i + 1 >= argc) usage_error("--out requires a path");
       options.out = argv[++i];
@@ -95,7 +92,6 @@ void SweepHarness::write_report() const {
   }
   out << "{\n";
   out << "  \"bench\": \"" << bench_name_ << "\",\n";
-  out << "  \"smoke\": " << (options_.smoke ? "true" : "false") << ",\n";
   out << "  \"sweep_threads\": " << runner_.worker_count() << ",\n";
   out << "  \"sections\": [\n";
   for (std::size_t s = 0; s < sections_.size(); ++s) {

@@ -2,10 +2,10 @@
 // point, one timing/report format.
 //
 // Every figure bench starts main() with parse_harness_flags(), so all of
-// them accept exactly --sweep-threads N, --smoke and --out PATH and exit(2)
-// on anything else (a serial bench has no sweep section for --sweep-threads
-// or --out to act on). Stdout holds only the paper tables, and
-// bench/golden/ pins each bench's --smoke stdout byte for byte.
+// them accept exactly --sweep-threads N and --out PATH and exit(2) on
+// anything else (a serial bench has no sweep section for either to act
+// on). Each bench runs one grid, the paper's full table; stdout holds only
+// that table, and bench/golden/ pins it byte for byte.
 //
 // Every grid-shaped bench follows the same shape:
 //
@@ -41,7 +41,6 @@ namespace qdc::bench {
 /// Options shared by every figure bench.
 struct HarnessOptions {
   int sweep_threads = 1;  ///< workers for the sweep layer; 0 = hardware
-  bool smoke = false;     ///< CI-sized grids (seconds, not minutes)
   std::string out;        ///< JSON timing-report path; empty = no report
 };
 
@@ -58,8 +57,6 @@ class SweepHarness {
   /// Writes the JSON report if --out was given. Exits(1) if the path
   /// cannot be written.
   ~SweepHarness();
-
-  bool smoke() const { return options_.smoke; }
 
   /// Runs `job_count` independent jobs through the sweep runner, timing
   /// each, and returns their Row results in job-index order. Section names

@@ -2,16 +2,17 @@
 // both by exact computation (enumeration / Tsirelson vectors) and by
 // playing actual rounds on the statevector simulator.
 //
-//   $ ./chsh_game [rounds]
+//   $ ./chsh_game [rounds]          (rounds in 1..1000000)
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "nonlocal/xor_game.hpp"
 #include "quantum/protocols.hpp"
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  const int rounds = argc > 1 ? std::atoi(argv[1]) : 100000;
+  const examples::Args args(argc, argv, 1, "chsh_game [rounds: 1..1000000]");
+  const int rounds = static_cast<int>(args.integer(1, 1, 1000000, 100000));
   Rng rng(42);
 
   const auto game = nonlocal::XorGame::chsh();

@@ -2,18 +2,27 @@
 // IPmod3 -> Ham graph and the Gap-Eq -> Ham graph and inspect the cycle
 // structure (Figures 4-7 and 12).
 //
-//   $ ./gadget_tour [x-bits] [y-bits]     (equal-length 0/1 strings)
+//   $ ./gadget_tour [x-bits y-bits]   (0/1 strings of one length in 1..1024)
 #include <cstdio>
 #include <string>
 
+#include "args.hpp"
 #include "comm/problems.hpp"
 #include "gadgets/ham_gadgets.hpp"
 #include "graph/algorithms.hpp"
 
 int main(int argc, char** argv) {
   using namespace qdc;
+  const examples::Args args(argc, argv, 2,
+                            "gadget_tour [x-bits y-bits] (two 0/1 strings of "
+                            "one length in 1..1024)");
   const std::string xs = argc > 2 ? argv[1] : "110101";
   const std::string ys = argc > 2 ? argv[2] : "101101";
+  if (argc == 2 || xs.empty() || xs.size() > 1024 ||
+      xs.size() != ys.size() ||
+      (xs + ys).find_first_not_of("01") != std::string::npos) {
+    args.fail();
+  }
   const auto x = BitString::parse(xs);
   const auto y = BitString::parse(ys);
 

@@ -3,11 +3,14 @@
 // Hamiltonian-cycle instance, runs a real algorithm under the three-party
 // Simulation Theorem harness, and evaluates the resulting bounds.
 //
-//   $ ./lower_bound_explorer [gamma] [L]
+//   $ ./lower_bound_explorer [gamma] [L]  (gamma in 1..16, L in 129..257)
+//
+// L is rounded up to 2^k + 1. Below 129 the BFS run outlasts the L/2 - 2
+// rounds the Simulation Theorem can simulate.
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
+#include "args.hpp"
 #include "congest/topology.hpp"
 #include "core/bounds.hpp"
 #include "core/lb_topology.hpp"
@@ -18,8 +21,10 @@
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  const int gamma = argc > 1 ? std::atoi(argv[1]) : 4;
-  const int length = argc > 2 ? std::atoi(argv[2]) : 129;
+  const examples::Args args(
+      argc, argv, 2, "lower_bound_explorer [gamma: 1..16] [L: 129..257]");
+  const int gamma = static_cast<int>(args.integer(1, 1, 16, 4));
+  const int length = static_cast<int>(args.integer(2, 129, 257, 129));
 
   const auto lb = std::make_shared<const core::LbTopologyView>(gamma, length);
   const graph::Graph topology = congest::materialize(*lb);

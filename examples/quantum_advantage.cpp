@@ -3,18 +3,22 @@
 // two nodes at distance D.
 //
 //   $ ./quantum_advantage [b] [diameter] [bandwidth_bits]
+//     (b a power of two in 2..4096, diameter in 1..256, bandwidth in 1..64)
 #include <cstdio>
-#include <cstdlib>
 
+#include "args.hpp"
 #include "core/bounds.hpp"
 #include "core/disjointness.hpp"
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  const std::size_t b =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 1024;
-  const int diameter = argc > 2 ? std::atoi(argv[2]) : 3;
-  const int bits = argc > 3 ? std::atoi(argv[3]) : 2;
+  const examples::Args args(argc, argv, 3,
+                            "quantum_advantage [b: power of two in 2..4096] "
+                            "[diameter: 1..256] [bandwidth_bits: 1..64]");
+  const auto b = static_cast<std::size_t>(args.integer(1, 2, 4096, 1024));
+  if ((b & (b - 1)) != 0) args.fail();
+  const int diameter = static_cast<int>(args.integer(2, 1, 256, 3));
+  const int bits = static_cast<int>(args.integer(3, 1, 64, 2));
   Rng rng(7);
 
   BitString x = BitString::random(b, rng);

@@ -1,10 +1,11 @@
 // Quickstart: build a CONGEST network, compute a distributed MST, and
 // verify a subnetwork property - the three core moves of the library.
 //
-//   $ ./quickstart [n] [seed]
+//   $ ./quickstart [n] [seed]       (n in 4..1024, seed in 0..4294967295)
 #include <cstdio>
 #include <cstdlib>
 
+#include "args.hpp"
 #include "dist/mst.hpp"
 #include "dist/verify.hpp"
 #include "graph/algorithms.hpp"
@@ -13,8 +14,10 @@
 
 int main(int argc, char** argv) {
   using namespace qdc;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 64;
-  const unsigned seed = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 1;
+  const examples::Args args(argc, argv, 2,
+                            "quickstart [n: 4..1024] [seed: 0..4294967295]");
+  const int n = static_cast<int>(args.integer(1, 4, 1024, 64));
+  const auto seed = static_cast<unsigned>(args.integer(2, 0, 4294967295, 1));
   Rng rng(seed);
 
   // 1. A random connected weighted network with n processors, B = 8 fields

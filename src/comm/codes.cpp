@@ -1,6 +1,8 @@
 #include "comm/codes.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "util/expect.hpp"
 
@@ -28,35 +30,21 @@ double gilbert_varshamov_bound(std::size_t n, std::size_t d) {
 
 std::vector<BitString> greedy_code(std::size_t n, std::size_t d) {
   QDC_EXPECT(n >= 1 && n <= 20, "greedy_code: n out of range");
+  const std::uint32_t words = std::uint32_t{1} << n;
+  // The masks of weight < d: XOR-ing one onto a kept word covers a word
+  // within distance d - 1 of it.
+  std::vector<std::uint32_t> ball;
+  for (std::uint32_t m = 0; m < words; ++m) {
+    if (static_cast<std::size_t>(std::popcount(m)) < d) ball.push_back(m);
+  }
+  std::vector<std::uint8_t> covered(words, 0);
   std::vector<BitString> code;
-  for (std::size_t v = 0; v < (std::size_t{1} << n); ++v) {
+  for (std::uint32_t v = 0; v < words; ++v) {
+    if (covered[v] != 0) continue;
+    for (const std::uint32_t m : ball) covered[v ^ m] = 1;
     BitString s(n);
     for (std::size_t i = 0; i < n; ++i) s.set(i, (v >> i) & 1);
-    bool ok = true;
-    for (const BitString& c : code) {
-      if (c.hamming_distance(s) < d) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) code.push_back(std::move(s));
-  }
-  return code;
-}
-
-std::vector<BitString> random_code(std::size_t n, std::size_t d,
-                                   std::size_t attempts, Rng& rng) {
-  std::vector<BitString> code;
-  for (std::size_t t = 0; t < attempts; ++t) {
-    BitString s = BitString::random(n, rng);
-    bool ok = true;
-    for (const BitString& c : code) {
-      if (c.hamming_distance(s) < d) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) code.push_back(std::move(s));
+    code.push_back(std::move(s));
   }
   return code;
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "util/bitstring.hpp"
-#include "util/rng.hpp"
 
 namespace qdc::comm {
 
@@ -21,14 +20,12 @@ double binary_entropy(double p);
 double gilbert_varshamov_bound(std::size_t n, std::size_t d);
 
 /// Greedy (lexicographic) construction of a code with minimum distance d.
-/// Exhaustive over 2^n strings: requires n <= 20. The result always meets
-/// the Gilbert-Varshamov bound.
+/// Scans the 2^n words in increasing order (bit i of word v is bit i of the
+/// string) and keeps each word no kept codeword covers, then covers the
+/// Hamming ball of radius d - 1 around it. One byte per word and
+/// O(2^n + |code| * V(n, d-1)) marks: requires n <= 20. The result always
+/// meets the Gilbert-Varshamov bound.
 std::vector<BitString> greedy_code(std::size_t n, std::size_t d);
-
-/// Randomized greedy construction for larger n: samples `attempts` random
-/// strings and keeps those at distance >= d from all kept so far.
-std::vector<BitString> random_code(std::size_t n, std::size_t d,
-                                   std::size_t attempts, Rng& rng);
 
 /// Verifies that every pair of distinct codewords is at distance >= d.
 bool has_min_distance(const std::vector<BitString>& code, std::size_t d);

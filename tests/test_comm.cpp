@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <tuple>
 
 #include "comm/codes.hpp"
 #include "comm/degree.hpp"
@@ -129,11 +130,48 @@ TEST(Codes, GreedyMeetsGilbertVarshamov) {
   }
 }
 
-TEST(Codes, RandomCodeHasDistance) {
-  Rng rng(17);
-  const auto code = random_code(64, 20, 500, rng);
-  EXPECT_TRUE(has_min_distance(code, 20));
-  EXPECT_GE(code.size(), 4u);
+// The lexicode by exhaustive rescan: each word, in increasing order, is
+// kept when it is at distance >= d from every word kept so far.
+std::vector<BitString> reference_lexicode(std::size_t n, std::size_t d) {
+  std::vector<BitString> code;
+  for (std::size_t v = 0; v < (std::size_t{1} << n); ++v) {
+    BitString s(n);
+    for (std::size_t i = 0; i < n; ++i) s.set(i, (v >> i) & 1);
+    bool ok = true;
+    for (const BitString& c : code) {
+      if (c.hamming_distance(s) < d) {
+        ok = false;
+        break;
+      }
+    }
+    if (ok) code.push_back(std::move(s));
+  }
+  return code;
+}
+
+TEST(Codes, GreedyCodeIsTheLexicode) {
+  std::vector<std::pair<std::size_t, std::size_t>> cases = {{12, 2}, {12, 5}};
+  for (std::size_t n = 1; n <= 10; ++n) {
+    for (std::size_t d = 0; d <= n + 1; ++d) cases.emplace_back(n, d);
+  }
+  for (const auto& [n, d] : cases) {
+    const auto code = greedy_code(n, d);
+    const auto reference = reference_lexicode(n, d);
+    ASSERT_EQ(code.size(), reference.size()) << "n=" << n << " d=" << d;
+    for (std::size_t i = 0; i < code.size(); ++i) {
+      ASSERT_EQ(code[i].to_string(), reference[i].to_string())
+          << "n=" << n << " d=" << d << " word " << i;
+    }
+  }
+  // The code sizes E2 (n = 18) and E12 (n = 20) print.
+  for (const auto& [n, d, size] :
+       std::vector<std::tuple<std::size_t, std::size_t, std::size_t>>{
+           {18, 2, 131072}, {20, 4, 16384}}) {
+    const auto code = greedy_code(n, d);
+    EXPECT_EQ(code.size(), size) << "n=" << n << " d=" << d;
+    EXPECT_GE(static_cast<double>(code.size()), gilbert_varshamov_bound(n, d))
+        << "n=" << n << " d=" << d;
+  }
 }
 
 TEST(Codes, BinaryEntropy) {

@@ -69,6 +69,33 @@ std::string element_type_of(const SourceFile& f, const std::string& var) {
   return "";
 }
 
+/// `end` moved back over any whitespace before it.
+std::size_t skip_space_back(const std::string& s, std::size_t end) {
+  while (end > 0 && std::isspace(static_cast<unsigned char>(s[end - 1])) != 0)
+    --end;
+  return end;
+}
+
+/// True when `struct` or `class` directly introduces the name at `pos`,
+/// optionally through one `alignas(...)`, and is not the `class` of an
+/// `enum class`.
+bool introduces_record(const std::string& code, std::size_t pos) {
+  std::size_t end = skip_space_back(code, pos);
+  if (end > 0 && code[end - 1] == ')') {  // struct alignas(64) Name
+    for (int depth = 0; end > 0;) {
+      const char c = code[--end];
+      depth += c == ')' ? 1 : c == '(' ? -1 : 0;
+      if (depth == 0) break;
+    }
+    if (ident_before(code, end) != "alignas") return false;
+    end = skip_space_back(code, end) - std::string("alignas").size();
+  }
+  const std::string keyword = ident_before(code, end);
+  if (keyword != "struct" && keyword != "class") return false;
+  return ident_before(code, skip_space_back(code, end) - keyword.size()) !=
+         "enum";
+}
+
 /// Locates the definition of struct/class `type` in the corpus. Returns the
 /// defining file and fills `def_pos` (offset of the name token) or nullptr.
 const SourceFile* find_struct_def(const AnalysisContext& ctx,
@@ -77,14 +104,10 @@ const SourceFile* find_struct_def(const AnalysisContext& ctx,
   for (const SourceFile& g : *ctx.files) {
     std::size_t pos = 0;
     while ((pos = find_token(g.code, type, pos)) != std::string::npos) {
-      std::size_t seg_begin = pos > 80 ? pos - 80 : 0;
-      std::string before = g.code.substr(seg_begin, pos - seg_begin);
-      bool keyworded = find_token(before, "struct") != std::string::npos ||
-                       find_token(before, "class") != std::string::npos;
       std::size_t after = skip_space(g.code, pos + type.size());
       bool defines = after < g.code.size() &&
                      (g.code[after] == '{' || g.code[after] == ':');
-      if (keyworded && defines) {
+      if (defines && introduces_record(g.code, pos)) {
         *def_pos = pos;
         return &g;
       }
