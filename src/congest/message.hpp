@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace qdc::congest {
@@ -20,9 +21,14 @@ using Payload = std::vector<std::int64_t>;
 
 /// A message delivered to a node, annotated with the local port (index into
 /// the node's neighbor list) it arrived on.
+///
+/// `data` views the fields where the sender staged them, in its shard's
+/// staging arena; delivery copies nothing. The view is valid only during
+/// the on_round call that receives it (the engine clears that arena buffer
+/// afterwards), so a program copies whatever it keeps past that call.
 struct Incoming {
   int port = -1;
-  Payload data;
+  std::span<const std::int64_t> data;
 };
 
 }  // namespace qdc::congest

@@ -62,12 +62,12 @@ bool NodeContext::edge_in_subnetwork(int port) const {
       net.port_edge_[static_cast<std::size_t>(first_port_ + port)]);
 }
 
-void NodeContext::send(int port, const Payload& message) {
+void NodeContext::send(int port, std::span<const std::int64_t> message) {
   attached();
   network_->stage_fields(*this, port, message.data(), message.size());
 }
 
-void NodeContext::send_all(const Payload& message) {
+void NodeContext::send_all(std::span<const std::int64_t> message) {
   attached();
   for (int p = 0; p < degree_; ++p) {
     network_->stage_fields(*this, p, message.data(), message.size());
@@ -95,6 +95,7 @@ Network::Network(std::shared_ptr<const TopologyView> view, NetworkConfig config)
   const int m = view_->edge_count();
   contexts_.resize(static_cast<std::size_t>(n_));
   inboxes_.resize(static_cast<std::size_t>(n_));
+  mail_ = std::vector<std::atomic<std::uint8_t>>(static_cast<std::size_t>(n_));
 
   // CSR port tables. Filling them validates the view: every port's edge
   // must connect the node to the reported peer, and every edge must be
@@ -210,7 +211,8 @@ void Network::install(const ProgramFactory& factory) {
   trace_recorded_ = false;
   round_ = 0;
   for (ShardArena& arena : arenas_) {
-    arena.fields.clear();
+    for (auto& buffer : arena.fields) buffer.clear();
+    arena.cur = 0;
     arena.records.clear();
   }
   std::fill(staged_head_.begin(), staged_head_.end(), -1);
@@ -222,6 +224,7 @@ void Network::install(const ProgramFactory& factory) {
     ctx.halted_ = false;
     ctx.wake_ = false;
     inboxes_[static_cast<std::size_t>(u)].clear();
+    mail_[static_cast<std::size_t>(u)].store(0, std::memory_order_relaxed);
     programs_.push_back(factory(u, ctx));
     QDC_EXPECT(programs_.back() != nullptr,
                "Network::install: factory returned null");
@@ -270,8 +273,9 @@ void Network::append_staged(NodeId u, std::int64_t gp,
                             const std::int64_t* fields, std::size_t count) {
   ShardArena& arena =
       arenas_[static_cast<std::size_t>(shard_of_[static_cast<std::size_t>(u)])];
-  const auto offset = static_cast<std::uint32_t>(arena.fields.size());
-  arena.fields.insert(arena.fields.end(), fields, fields + count);
+  std::vector<std::int64_t>& staging = arena.staging();
+  const auto offset = static_cast<std::uint32_t>(staging.size());
+  staging.insert(staging.end(), fields, fields + count);
   const auto rec = static_cast<std::int32_t>(arena.records.size());
   arena.records.push_back(
       StagedRec{gp, -1, offset, static_cast<std::uint32_t>(count)});
@@ -282,6 +286,8 @@ void Network::append_staged(NodeId u, std::int64_t gp,
     staged_head_[static_cast<std::size_t>(gp)] = rec;
   }
   tail = rec;
+  mail_[static_cast<std::size_t>(port_peer_[static_cast<std::size_t>(gp)])]
+      .store(1, std::memory_order_relaxed);
 }
 
 void Network::compute_frontier_shard(int shard, bool wake_all,
@@ -290,12 +296,14 @@ void Network::compute_frontier_shard(int shard, bool wake_all,
   scratch.halted.clear();
   scratch.wake.clear();
   // Every scheduled node's inbox holds exactly what the previous round
-  // delivered to it: that round's delivery rewrote each receiver's inbox
-  // and emptied each waker's that received nothing.
+  // delivered to it: delivery writes only into inboxes, and each compute
+  // empties its node's inbox once on_round returns — the views in it
+  // expire with the call.
   const auto compute = [&](NodeId u) {
     auto& ctx = contexts_[static_cast<std::size_t>(u)];
-    programs_[static_cast<std::size_t>(u)]->on_round(
-        ctx, inboxes_[static_cast<std::size_t>(u)]);
+    auto& box = inboxes_[static_cast<std::size_t>(u)];
+    programs_[static_cast<std::size_t>(u)]->on_round(ctx, box);
+    box.clear();
     if (ctx.wake_) {
       ctx.wake_ = false;
       if (frontier && !ctx.halted_) scratch.wake.push_back(u);
@@ -317,10 +325,11 @@ void Network::compute_frontier_shard(int shard, bool wake_all,
 bool Network::deliver_node(NodeId v, int shard, bool record_trace,
                            ModelAuditor* auditor) {
   ShardScratch& scratch = shard_scratch_[static_cast<std::size_t>(shard)];
+  mail_[static_cast<std::size_t>(v)].store(0, std::memory_order_relaxed);
   auto& box = inboxes_[static_cast<std::size_t>(v)];
+  box.clear();
   const auto& rctx = contexts_[static_cast<std::size_t>(v)];
   const bool receiver_halted = rctx.halted_;
-  std::size_t used = 0;
   for (int p = 0; p < rctx.degree_; ++p) {
     const std::int64_t gp = rctx.first_port_ + p;
     const std::int64_t back = port_back_[static_cast<std::size_t>(gp)];
@@ -330,6 +339,7 @@ bool Network::deliver_node(NodeId v, int shard, bool record_trace,
     const EdgeId e = port_edge_[static_cast<std::size_t>(gp)];
     const ShardArena& arena = arenas_[static_cast<std::size_t>(
         shard_of_[static_cast<std::size_t>(u)])];
+    const std::int64_t* staged = arena.staging().data();
     for (; rec >= 0; rec = arena.records[static_cast<std::size_t>(rec)].next) {
       const StagedRec& m = arena.records[static_cast<std::size_t>(rec)];
       const bool delivered = !receiver_halted;
@@ -344,20 +354,11 @@ bool Network::deliver_node(NodeId v, int shard, bool record_trace,
             TracedMessage{u, v, e, static_cast<int>(m.size)});
       }
       if (delivered) {
-        const std::int64_t* first = arena.fields.data() + m.offset;
-        const std::int64_t* last = first + m.size;
-        if (used < box.size()) {
-          box[used].port = p;
-          box[used].data.assign(first, last);
-        } else {
-          box.push_back(Incoming{p, Payload(first, last)});
-        }
-        ++used;
+        box.push_back(Incoming{p, {staged + m.offset, m.size}});
       }
     }
   }
-  box.resize(used);
-  return used > 0;
+  return !box.empty();
 }
 
 void Network::deliver_frontier_shard(int shard, bool wake_all, bool frontier,
@@ -369,10 +370,15 @@ void Network::deliver_frontier_shard(int shard, bool wake_all, bool frontier,
   scratch.trace.clear();
   auto& recv = recv_work_[static_cast<std::size_t>(shard)];
   if (wake_all) {
-    // Any node may receive: walk the shard's whole node range.
+    // Any node may receive: walk the shard's whole node range. A node sent
+    // nothing costs one flag load; its inbox is already empty.
     recv.clear();
     const auto [begin, end] = shards_[static_cast<std::size_t>(shard)];
     for (NodeId v = begin; v < end; ++v) {
+      if (mail_[static_cast<std::size_t>(v)].load(std::memory_order_relaxed) ==
+          0) {
+        continue;
+      }
       if (deliver_node(v, shard, record_trace, auditor) && frontier) {
         recv.push_back(v);
       }
@@ -387,13 +393,6 @@ void Network::deliver_frontier_shard(int shard, bool wake_all, bool frontier,
     }
   }
   if (!frontier) return;
-  // A waker that received nothing must see an empty inbox next round, not
-  // the one it read this round (recv is sorted).
-  for (const NodeId v : scratch.wake) {
-    if (!std::binary_search(recv.begin(), recv.end(), v)) {
-      inboxes_[static_cast<std::size_t>(v)].clear();
-    }
-  }
   // Next frontier: the union of this round's receivers and wake requests
   // (both sorted), less the halted.
   auto& next = active_[static_cast<std::size_t>(shard)];
@@ -416,7 +415,12 @@ void Network::clear_staging_shard(int shard) {
     port_used_[static_cast<std::size_t>(rec.port)] = 0;
   }
   arena.records.clear();
-  arena.fields.clear();
+  // The fields just staged stay put: this round's receivers read them in
+  // the next compute. The other buffer was staged the last time this
+  // shard computed, and the compute that read its views has returned
+  // (each inbox is emptied as its on_round returns), so it is reused.
+  arena.cur ^= 1;
+  arena.staging().clear();
 }
 
 bool Network::frontier_suppressed(NodeId u) const {

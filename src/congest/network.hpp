@@ -34,9 +34,23 @@
 // therefore bit-identical for any RunOptions::threads value. Within one
 // receiver's inbox, messages are ordered by the receiver's port index
 // (i.e. by (edge, direction)), then by the sender's staging order on that
-// edge. Compute and delivery are separate phases that never overlap, so
-// each node has a single inbox: a round's delivery rewrites it only after
-// that round's compute has read it.
+// edge.
+//
+// A round runs three phases, each a barrier-separated pool job: compute
+// (programs read their inboxes and stage sends), deliver (each receiver's
+// shard gathers what was staged towards it) and reset (each sender's shard
+// releases its staging). Delivery copies no field: an inbox entry is a
+// {port, span} view into the sender shard's arena. Each arena has two
+// field buffers. A round's sends stage into one while its compute reads
+// views into the other; its reset keeps the buffer just staged for the
+// next round's compute, and swaps to and clears the one whose views this
+// round's compute has read. A node's single inbox is emptied as soon as
+// its on_round returns, so it holds views only from its delivery to the
+// call that reads them. Every staged message also raises its receiver's
+// mail flag (one atomic byte per node, set by the sending shard, read and
+// cleared by the receiving one): a wake-all round's delivery skips each
+// node whose flag is clear at the cost of one load, without walking its
+// ports.
 //
 // One round loop, two wake rules (RunOptions::frontier). Each round
 // computes a frontier of live nodes; round 0's frontier is every live node,
@@ -64,10 +78,14 @@
 // with each other if the network is run with threads > 1.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -123,13 +141,23 @@ class NodeContext {
   const Payload& input() const { return input_; }
 
   /// Queue a message through `port`; throws ModelError if the per-edge
-  /// budget for this round is exceeded. The fields are staged in the
-  /// node's shard arena — no per-message allocation in steady state.
-  void send(int port, const Payload& message);
+  /// budget for this round is exceeded. The fields are copied into the
+  /// node's shard arena before send returns, so `message` may view
+  /// anything alive for the call: a Payload, a local array, an inbox
+  /// entry's data (an inbox view is itself valid only during the on_round
+  /// call that received it). No per-message allocation in steady state.
+  void send(int port, std::span<const std::int64_t> message);
+  /// `ctx.send(port, {tag, x, ...})` stages straight from the braced list.
+  void send(int port, std::initializer_list<std::int64_t> message) {
+    send(port, std::span<const std::int64_t>(message.begin(), message.size()));
+  }
 
   /// Send the same message through every port (costs bandwidth on each).
-  /// Stages the fields directly; the payload is never copied per port.
-  void send_all(const Payload& message);
+  /// Stages the fields directly; the message is never copied per port.
+  void send_all(std::span<const std::int64_t> message);
+  void send_all(std::initializer_list<std::int64_t> message) {
+    send_all(std::span<const std::int64_t>(message.begin(), message.size()));
+  }
 
   /// Record this node's output value.
   void set_output(std::int64_t value) { output_ = value; }
@@ -174,7 +202,8 @@ class NodeContext {
 /// A distributed algorithm, instantiated once per node. `on_round` runs in
 /// every round whose frontier holds the node — under the default wake rule,
 /// every round until it halts; the inbox holds messages sent to this node
-/// in the previous round.
+/// in the previous round. The inbox and the fields its entries view are
+/// valid only during the call (see Incoming).
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
@@ -285,11 +314,18 @@ class Network {
     std::uint32_t size = 0;
   };
 
-  /// Per-shard staging arena. Only the owning shard's compute phase
-  /// writes it; padded so neighboring arenas never share a cache line.
+  /// Per-shard staging arena. Only the owning shard's compute and reset
+  /// phases write it; padded so neighboring arenas never share a cache
+  /// line. The round's sends stage into fields[cur]; the other buffer
+  /// holds the fields staged the last time this shard computed, which the
+  /// inbox views of the current round's compute read.
   struct alignas(64) ShardArena {
-    std::vector<std::int64_t> fields;
+    std::array<std::vector<std::int64_t>, 2> fields;
+    std::size_t cur = 0;
     std::vector<StagedRec> records;
+
+    std::vector<std::int64_t>& staging() { return fields[cur]; }
+    const std::vector<std::int64_t>& staging() const { return fields[cur]; }
   };
 
   /// Per-shard scratch for one round, merged in shard-index order. Padded
@@ -328,7 +364,8 @@ class Network {
   /// its frontier / bucketed receivers; `frontier` (the event-driven wake
   /// rule) collects wake requests and builds the shard's next frontier.
   void compute_frontier_shard(int shard, bool wake_all, bool frontier);
-  /// Delivers v's staged messages; true if v's inbox got any.
+  /// Delivers v's staged messages (v's mail flag was set) and clears the
+  /// flag; true if v's inbox got any.
   bool deliver_node(NodeId v, int shard, bool record_trace,
                     ModelAuditor* auditor);
   void deliver_frontier_shard(int shard, bool wake_all, bool frontier,
@@ -358,12 +395,21 @@ class Network {
   std::vector<NodeContext> contexts_;
   std::vector<std::unique_ptr<NodeProgram>> programs_;
 
-  // One inbox per node. A round's compute phase reads it and the same
-  // round's delivery phase, which starts only after every compute has
-  // returned, rewrites it. Incoming slots are reused, so steady-state
-  // delivery reallocates only when a round delivers more to a node than
-  // the last delivery to it did.
+  // One inbox per node. Delivery fills a receiver's inbox with views into
+  // the sender shards' arenas, and the compute that reads them empties it
+  // as soon as on_round returns, so every inbox is empty when a delivery
+  // phase starts. (A receiver left out of the next frontier, which only
+  // the suppress_frontier_node_for_test hook causes and the auditor
+  // rejects, keeps its views unread until deliver_node or run() empties
+  // it.) Capacity is kept, so delivery allocates only when a node is sent
+  // more messages than ever before.
   std::vector<std::vector<Incoming>> inboxes_;
+
+  // Mail flags, one per node: set (relaxed) by append_staged in the
+  // sender's shard during compute; read and cleared by the receiver's
+  // shard during delivery. The pool barrier between the phases orders the
+  // two, and distinct shards clear disjoint flags.
+  std::vector<std::atomic<std::uint8_t>> mail_;
 
   // Engine sharding: contiguous node ranges placed along the cumulative
   // degree-work curve (util::WeightedShardPlan) — fixed by the topology

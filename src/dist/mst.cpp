@@ -6,6 +6,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 
 #include "congest/network.hpp"
 #include "util/expect.hpp"
@@ -437,7 +438,7 @@ class FastMstProgram : public congest::NodeProgram {
     p2_down_queue_.push_back({kP2End, next_start, done ? 1 : 0});
   }
 
-  void apply_down_item(NodeContext& ctx, const Payload& item) {
+  void apply_down_item(NodeContext& ctx, std::span<const std::int64_t> item) {
     switch (item[0]) {
       case kP2Sel: {
         const std::int64_t a = item[2];

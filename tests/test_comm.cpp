@@ -12,6 +12,7 @@
 #include "comm/problems.hpp"
 #include "comm/server_model.hpp"
 #include "util/bitstring.hpp"
+#include "util/expect.hpp"
 #include "util/rng.hpp"
 
 namespace qdc::comm {
@@ -28,6 +29,22 @@ TEST(Problems, Evaluators) {
   EXPECT_EQ(inner_product_mod(x, x, 3), 2);
   EXPECT_FALSE(ip_mod3_is_zero(x, x));
   EXPECT_TRUE(ip_mod3_is_zero(BitString::parse("111"), BitString::parse("111")));
+}
+
+TEST(BitStringTest, HammingDistance) {
+  for (const std::size_t n : {1u, 12u, 64u}) {
+    BitString x(n);
+    for (std::size_t i = 0; i < n; i += 3) x.set(i, true);
+    EXPECT_EQ(x.hamming_distance(x), 0u) << "n=" << n;
+    BitString one_off = x;
+    one_off.flip(n / 2);
+    EXPECT_EQ(x.hamming_distance(one_off), 1u) << "n=" << n;
+    EXPECT_EQ(one_off.hamming_distance(x), 1u) << "n=" << n;
+    BitString complement = x;
+    for (std::size_t i = 0; i < n; ++i) complement.flip(i);
+    EXPECT_EQ(x.hamming_distance(complement), n) << "n=" << n;
+  }
+  EXPECT_THROW(BitString(3).hamming_distance(BitString(4)), ContractError);
 }
 
 TEST(Problems, GapEqInstancesRespectPromise) {

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "congest/network.hpp"
 #include "congest/stats.hpp"
@@ -414,7 +416,9 @@ class WakeAfterReadProgram : public NodeProgram {
     }
     if (ctx.round() == 1) {
       read_ = static_cast<std::int64_t>(inbox.size());
-      if (read_ == 1 && inbox[0].data != Payload{7}) read_ = -1;
+      if (read_ == 1 && !std::ranges::equal(inbox[0].data, Payload{7})) {
+        read_ = -1;
+      }
       ctx.request_wake();
     } else if (ctx.round() == 2) {
       ctx.set_output(10 * read_ + static_cast<std::int64_t>(inbox.size()));
@@ -445,6 +449,154 @@ TEST(EngineDeterminism, WokenNodeWithoutDeliverySeesEmptyInbox) {
       EXPECT_EQ(net.output(1), 10)
           << "frontier=" << frontier << " threads=" << threads;
     }
+  }
+}
+
+/// Every round, each node first sends on every port a message whose fields
+/// encode (its id, the round, the field index), one field longer than the
+/// round before, so its shard's arena grows while its inbox still views
+/// the previous round's fields; only then does it read its inbox and check
+/// each message against what that neighbour sent the round before. Its
+/// output is the number of matching messages, plus 10^6 per mismatch.
+class ViewAfterSendProgram : public NodeProgram {
+ public:
+  static constexpr int kSendRounds = 12;
+
+  static std::int64_t field(NodeId from, int round, int i) {
+    return (static_cast<std::int64_t>(from) << 32) + round * 64 + i;
+  }
+
+  void on_round(NodeContext& ctx, const std::vector<Incoming>& inbox) override {
+    const int r = ctx.round();
+    if (r < kSendRounds) {
+      Payload out(static_cast<std::size_t>(r + 1));
+      for (int i = 0; i <= r; ++i) {
+        out[static_cast<std::size_t>(i)] = field(ctx.id(), r, i);
+      }
+      for (int p = 0; p < ctx.degree(); ++p) ctx.send(p, out);
+    }
+    for (const Incoming& msg : inbox) {
+      const NodeId from = ctx.neighbor(msg.port);
+      bool same = msg.data.size() == static_cast<std::size_t>(r);
+      for (int i = 0; same && i < r; ++i) {
+        same = msg.data[static_cast<std::size_t>(i)] == field(from, r - 1, i);
+      }
+      checked_ += same ? 1 : 1000000;
+    }
+    if (r == kSendRounds) {
+      ctx.set_output(checked_);
+      ctx.halt();
+    }
+  }
+
+ private:
+  std::int64_t checked_ = 0;
+};
+
+TEST(EngineDeterminism, InboxViewsOutliveTheReadersOwnSends) {
+  // 200 path nodes span several shards, so views cross shard arenas as
+  // well as staying inside one.
+  Network net(graph::path_graph(200), NetworkConfig{.bandwidth = 16});
+  std::vector<std::int64_t> expected;
+  for (NodeId u = 0; u < net.node_count(); ++u) {
+    expected.push_back(ViewAfterSendProgram::kSendRounds *
+                       (u == 0 || u == net.node_count() - 1 ? 1 : 2));
+  }
+  // 398 messages a round; round r's carry r + 1 fields each.
+  const RunStats expected_stats{.rounds = 13,
+                                .messages = 12 * 398,
+                                .fields = 78 * 398,
+                                .completed = true};
+  for (const bool frontier : {false, true}) {
+    for (const int threads : {1, 2, 4}) {
+      net.install([](NodeId, const NodeContext&) {
+        return std::make_unique<ViewAfterSendProgram>();
+      });
+      EXPECT_EQ(net.run({.max_rounds = 20,
+                         .threads = threads,
+                         .frontier = frontier}),
+                expected_stats)
+          << "frontier=" << frontier << " threads=" << threads;
+      EXPECT_EQ(net.outputs(), expected)
+          << "frontier=" << frontier << " threads=" << threads;
+    }
+  }
+}
+
+enum class SendForm { kBracedList, kPayload, kSpan, kSendAll };
+
+/// Folds its inbox non-commutatively and sends {id, round, fold} on every
+/// port through one of NodeContext's send forms.
+class SendFormProgram : public NodeProgram {
+ public:
+  explicit SendFormProgram(SendForm form) : form_(form) {}
+
+  void on_round(NodeContext& ctx, const std::vector<Incoming>& inbox) override {
+    for (const Incoming& msg : inbox) {
+      acc_ = acc_ * 1000003u + static_cast<std::uint64_t>(msg.port);
+      for (const std::int64_t f : msg.data) {
+        acc_ = acc_ * 131u + static_cast<std::uint64_t>(f);
+      }
+    }
+    if (ctx.round() == 6) {
+      ctx.set_output(static_cast<std::int64_t>(acc_ >> 1));
+      ctx.halt();
+      return;
+    }
+    const std::int64_t id = ctx.id();
+    const std::int64_t round = ctx.round();
+    const auto fold = static_cast<std::int64_t>(acc_ & 0xffff);
+    switch (form_) {
+      case SendForm::kBracedList:
+        for (int p = 0; p < ctx.degree(); ++p) ctx.send(p, {id, round, fold});
+        break;
+      case SendForm::kPayload: {
+        const Payload msg{id, round, fold};
+        for (int p = 0; p < ctx.degree(); ++p) ctx.send(p, msg);
+        break;
+      }
+      case SendForm::kSpan: {
+        const std::array<std::int64_t, 3> msg{id, round, fold};
+        for (int p = 0; p < ctx.degree(); ++p) {
+          ctx.send(p, std::span<const std::int64_t>(msg));
+        }
+        break;
+      }
+      case SendForm::kSendAll:
+        ctx.send_all({id, round, fold});
+        break;
+    }
+  }
+
+ private:
+  SendForm form_;
+  std::uint64_t acc_ = 1;  // unsigned: the mixing fold wraps by design
+};
+
+TEST(EngineDeterminism, SendFormsAgree) {
+  Rng rng(37);
+  Network net(graph::random_connected(60, 0.1, rng),
+              NetworkConfig{.bandwidth = 3});
+  const auto run_form = [&net](SendForm form) {
+    net.install([form](NodeId, const NodeContext&) {
+      return std::make_unique<SendFormProgram>(form);
+    });
+    RunResult result;
+    result.stats =
+        net.run({.max_rounds = 10, .threads = 2, .record_trace = true});
+    result.outputs = net.outputs();
+    result.trace = net.trace();
+    return result;
+  };
+  const RunResult braced = run_form(SendForm::kBracedList);
+  EXPECT_TRUE(braced.stats.completed);
+  EXPECT_GT(braced.stats.messages, 0);
+  for (const SendForm form :
+       {SendForm::kPayload, SendForm::kSpan, SendForm::kSendAll}) {
+    const RunResult other = run_form(form);
+    EXPECT_EQ(other.outputs, braced.outputs) << static_cast<int>(form);
+    EXPECT_EQ(other.stats, braced.stats) << static_cast<int>(form);
+    EXPECT_EQ(other.trace, braced.trace) << static_cast<int>(form);
   }
 }
 
