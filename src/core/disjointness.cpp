@@ -39,18 +39,18 @@ class StreamDisjointnessProgram : public congest::NodeProgram {
     }
     if (is_source && ctx.round() == 0) {
       buffer_.clear();
+      next_ = 0;
       for (std::size_t i = 0; i < x_.size(); ++i) {
         buffer_.push_back(x_.get(i));
       }
     }
-    // Forward up to B bits rightward.
-    if (!is_sink && !buffer_.empty()) {
+    // Forward up to B unsent bits rightward.
+    if (!is_sink && next_ < buffer_.size()) {
       const int right = ctx.port_to(ctx.id() + 1);
       congest::Payload chunk;
-      while (!buffer_.empty() &&
+      while (next_ < buffer_.size() &&
              static_cast<int>(chunk.size()) < ctx.bandwidth()) {
-        chunk.push_back(buffer_.front() ? 1 : 0);
-        buffer_.erase(buffer_.begin());
+        chunk.push_back(buffer_[next_++] ? 1 : 0);
       }
       ctx.send(right, chunk);
     }
@@ -81,7 +81,8 @@ class StreamDisjointnessProgram : public congest::NodeProgram {
  private:
   BitString x_, y_;
   int path_length_;
-  std::vector<bool> buffer_;
+  std::vector<bool> buffer_;  // x at node 0, else the bits received
+  std::size_t next_ = 0;      // first bit of buffer_ not yet forwarded
   bool decided_ = false;
   bool have_answer_ = false;
   bool answer_ = false;

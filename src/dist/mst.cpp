@@ -371,9 +371,8 @@ class FastMstProgram : public congest::NodeProgram {
       }
     }
     // Root: stream the down queue, one item per round.
-    if (gt_.is_root && !p2_down_queue_.empty()) {
-      Payload item = p2_down_queue_.front();
-      p2_down_queue_.erase(p2_down_queue_.begin());
+    if (gt_.is_root && p2_down_next_ < p2_down_queue_.size()) {
+      const Payload& item = p2_down_queue_[p2_down_next_++];
       for (int c : gt_.children_ports) ctx.send(c, item);
       apply_down_item(ctx, item);
     }
@@ -425,6 +424,7 @@ class FastMstProgram : public congest::NodeProgram {
       if (r != f) remaps.emplace_back(f, r);
     }
     p2_down_queue_.clear();
+    p2_down_next_ = 0;
     for (const EdgeKey& k : selected) {
       p2_down_queue_.push_back({kP2Sel, pack(k.w), k.a, k.b});
     }
@@ -612,7 +612,8 @@ class FastMstProgram : public congest::NodeProgram {
   int p2_done_reports_ = 0;
   bool p2_drain_started_ = false;
   bool p2_done_sent_ = false;
-  std::vector<Payload> p2_down_queue_;
+  std::vector<Payload> p2_down_queue_;  // root only
+  std::size_t p2_down_next_ = 0;        // first item not yet streamed
 };
 
 }  // namespace

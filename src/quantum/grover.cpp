@@ -33,19 +33,26 @@ GroverResult grover_search(int num_qubits,
   const std::size_t n = std::size_t{1} << num_qubits;
   const util::ShardPlan scan_plan = util::ShardPlan::over(n);
 
-  // Count marked items with shard-indexed tallies merged in shard order —
-  // integer sums are order-free, but keeping the scan on the same contract
-  // as the floating-point reductions costs nothing.
+  // The one pass that calls the predicate: it fills the mask the oracle
+  // and the success-probability scan read (each shard writes only its own
+  // range) and counts marked items with shard-indexed tallies merged in
+  // shard order — integer sums are order-free, but keeping the scan on the
+  // same contract as the floating-point reductions costs nothing.
+  std::vector<std::uint8_t> mask(n, 0);
   std::vector<std::uint64_t> marked_partial(
       static_cast<std::size_t>(scan_plan.shards), 0);
   util::run_sharded(pool, scan_plan,
                     [&](int s, std::size_t begin, std::size_t end) {
                       std::uint64_t count = 0;
                       for (std::size_t i = begin; i < end; ++i) {
-                        if (marked(i)) ++count;
+                        if (marked(i)) {
+                          mask[i] = 1;
+                          ++count;
+                        }
                       }
                       marked_partial[static_cast<std::size_t>(s)] = count;
                     });
+  const auto in_mask = [&mask](std::size_t i) { return mask[i] != 0; };
   std::size_t m = 0;
   for (const std::uint64_t c : marked_partial) m += c;
   if (iterations < 0) {
@@ -56,7 +63,7 @@ GroverResult grover_search(int num_qubits,
   for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
   for (int it = 0; it < iterations; ++it) {
     // Oracle: phase-flip marked items.
-    state.oracle_phase(marked);
+    state.oracle_phase(in_mask);
     // Diffusion: reflect about the uniform superposition.
     for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
     state.oracle_phase([](std::size_t i) { return i != 0; });
@@ -75,7 +82,7 @@ GroverResult grover_search(int num_qubits,
                     [&](int s, std::size_t begin, std::size_t end) {
                       double sum = 0.0;
                       for (std::size_t i = begin; i < end; ++i) {
-                        if (marked(i)) sum += state.probability_of(i);
+                        if (in_mask(i)) sum += state.probability_of(i);
                       }
                       prob_partial[static_cast<std::size_t>(s)] = sum;
                     });

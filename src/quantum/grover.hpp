@@ -31,7 +31,9 @@ struct GroverResult {
 /// capped at kMaxQubits — the same limit as the StateVector the search
 /// runs on. `pool` (non-owning; null = serial) shards the statevector
 /// kernels and the oracle/probability scans; results are bit-identical
-/// for every pool (see state.hpp).
+/// for every pool (see state.hpp). `marked` is called 2^num_qubits + 1
+/// times, whatever the iteration count: once per index into a mask the
+/// iterations read, and once on the measured index.
 GroverResult grover_search(int num_qubits,
                            const std::function<bool(std::size_t)>& marked,
                            Rng& rng, int iterations = -1,

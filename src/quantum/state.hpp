@@ -150,6 +150,15 @@ class StateVector {
   /// partial-reduction slots.
   int shard_count_for(std::size_t items) const;
 
+  /// The one pair kernel behind apply (control < 0) and apply_controlled.
+  /// Pair k couples basis index i0(k) with i0(k) | 2^target, where i0(k)
+  /// is k with a zero inserted at the target position (and, given a
+  /// control, one at the control position, whose bit is then set). Each
+  /// run of 2^min(control, target) consecutive k maps to consecutive
+  /// amplitudes; the kernel updates a run at a time, and a shard boundary
+  /// may cut one.
+  void apply_pairs(const Gate1& g, int target, int control);
+
   /// measure() with the uniform draw injected: collapses `qubit` to the
   /// branch selected by r < P(qubit = 1). Guards r against [0, 1) — a draw
   /// outside the uniform_real contract is caller error, not a model state —

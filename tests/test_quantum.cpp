@@ -1,7 +1,9 @@
 // Tests for the statevector simulator and the small quantum protocols.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <initializer_list>
 #include <numbers>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 #include "quantum/testing.hpp"
 #include "util/expect.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace qdc::quantum {
 namespace {
@@ -226,6 +229,32 @@ TEST(Grover, MultipleMarkedItemsSpeedUp) {
       8, [](std::size_t i) { return i % 16 == 0; }, rng);  // M = 16, N = 256
   EXPECT_GT(r.success_probability, 0.8);
   EXPECT_LT(r.oracle_queries, 6);  // ~ pi/4 sqrt(16) = 3.1
+}
+
+TEST(Grover, EvaluatesOracleOncePerIndex) {
+  // The search reads the caller's predicate once per index into a mask
+  // and once more for the measured index, whatever the iteration count:
+  // 2^n + 1 calls, not 2^n per iteration. 13 qubits shards the scan.
+  util::ThreadPool four(4);
+  for (util::ThreadPool* p : std::initializer_list<util::ThreadPool*>{
+           nullptr, &four}) {
+    for (const int qubits : {10, 13}) {
+      const std::size_t target = (std::size_t{1} << qubits) - 300;
+      std::atomic<std::size_t> calls{0};
+      Rng rng(37);
+      const auto r = grover_search(
+          qubits,
+          [&calls, target](std::size_t i) {
+            calls.fetch_add(1, std::memory_order_relaxed);
+            return i == target;
+          },
+          rng, /*iterations=*/-1, p);
+      EXPECT_GT(r.iterations, 20) << "qubits " << qubits;
+      EXPECT_EQ(calls.load(), (std::size_t{1} << qubits) + 1)
+          << "qubits " << qubits;
+      EXPECT_GT(r.success_probability, 0.99) << "qubits " << qubits;
+    }
+  }
 }
 
 TEST(Grover, OptimalIterationCounts) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "quantum/gates.hpp"
@@ -46,20 +47,20 @@ bool bit_identical(const StateVector& a, const StateVector& b) {
                      a.dimension() * sizeof(Amplitude)) == 0;
 }
 
-/// Folds the raw amplitude bits into one word — the same payload checksum
-/// bench_quantum_scaling embeds in BENCH_quantum.json, so this suite pins
-/// the determinism of the bench's reported payloads too.
+/// Folds the raw amplitude bits into one word through splitmix64 — the
+/// payload checksum bench_quantum_scaling embeds in BENCH_quantum.json, so
+/// this suite pins the determinism of the bench's reported payloads too.
+/// splitmix64 carries every input bit into every output bit; a fold by odd
+/// multipliers alone would carry a bit only upward, so sign flips on an
+/// even number of doubles would cancel.
 std::uint64_t amplitude_checksum(const StateVector& s) {
   std::uint64_t acc = 0x243f6a8885a308d3ULL;
   for (const Amplitude& a : s.amplitudes()) {
-    std::uint64_t re = 0;
-    std::uint64_t im = 0;
-    const double re_d = a.real();
-    const double im_d = a.imag();
-    std::memcpy(&re, &re_d, sizeof(re));
-    std::memcpy(&im, &im_d, sizeof(im));
-    acc = (acc ^ re) * 0x9e3779b97f4a7c15ULL;
-    acc = (acc ^ im) * 0xbf58476d1ce4e5b9ULL;
+    for (const double part : {a.real(), a.imag()}) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &part, sizeof(bits));
+      acc = splitmix64(acc ^ bits);
+    }
   }
   return acc;
 }
@@ -272,29 +273,77 @@ void apply_direct(StateVector& s, const RandomGate& op) {
   }
 }
 
+/// The seeded random circuit both tests below run: 200 operations on 13
+/// qubits.
+constexpr int kRandomQubits = 13;
+
+std::vector<RandomGate> seeded_random_circuit() {
+  Rng gen(20260809);
+  return random_gates(kRandomQubits, /*count=*/200, gen);
+}
+
 TEST(QuantumDeterminism, RandomCircuitBitIdenticalAcrossPools) {
   // A random 200-operation, 13-qubit circuit of gates and phase oracles:
   // the serial run is the reference, and the same sequence applied per
   // gate must reproduce it bit for bit on pools of 1, 2 and 4 threads.
-  constexpr int kQubits = 13;
-  constexpr int kOps = 200;
-  Rng gen(20260809);
-  const std::vector<RandomGate> ops = random_gates(kQubits, kOps, gen);
+  const std::vector<RandomGate> ops = seeded_random_circuit();
   int oracles = 0;
   for (const RandomGate& op : ops) {
     if (op.kind == kOracleKind) ++oracles;
   }
   ASSERT_GT(oracles, 0);
 
-  StateVector reference(kQubits);
+  StateVector reference(kRandomQubits);
   for (const RandomGate& op : ops) apply_direct(reference, op);
 
   const auto pools = make_pools();
   for (std::size_t p = 1; p < pools.size(); ++p) {
-    StateVector s(kQubits, pools[p].get());
+    StateVector s(kRandomQubits, pools[p].get());
     for (const RandomGate& op : ops) apply_direct(s, op);
     EXPECT_TRUE(bit_identical(s, reference)) << "pool " << p;
     EXPECT_EQ(amplitude_checksum(s), amplitude_checksum(reference))
+        << "pool " << p;
+  }
+}
+
+TEST(QuantumDeterminism, KernelNumericsPinned) {
+  // Literal checksums of three multi-shard states, computed with the
+  // per-pair std::complex<double> gate loops: the gate kernels must keep
+  // every amplitude bit of those products, at every pool size. The third
+  // state runs a gate whose eight real and imaginary parts are all
+  // nonzero, uncontrolled and controlled, with the control above and
+  // below the target and pair runs of 1 and 32 amplitudes.
+  //
+  // g is rz(0.7)·ry(1.1)·T evaluated in double arithmetic, written out bit
+  // for bit: GCC folds a product of constant complex numbers with a single
+  // rounding, so multiplying in the test would pin whatever it folded.
+  const Gate1 g{{0x1.9a0779605224bp-1, -0x1.2b583cf8e3391p-2},
+                {-0x1.e54bb78f3f326p-2, -0x1.c37dacea9bf64p-3},
+                {0x1.f6c83612d1cf0p-2, 0x1.6f0f3fdc900bbp-3},
+                {0x1.7033401039d06p-2, 0x1.8bc4cce692145p-1}};
+  const std::vector<RandomGate> ops = seeded_random_circuit();
+  const auto pools = make_pools();
+  for (std::size_t p = 0; p < pools.size(); ++p) {
+    util::ThreadPool* pool = pools[p].get();
+    StateVector probe(kProbeQubits, pool);
+    build_probe_circuit(probe);
+    EXPECT_EQ(amplitude_checksum(probe), 0x2faac56ffb96861eULL)
+        << "pool " << p;
+
+    StateVector random(kRandomQubits, pool);
+    for (const RandomGate& op : ops) apply_direct(random, op);
+    EXPECT_EQ(amplitude_checksum(random), 0xf5621da0690ef466ULL)
+        << "pool " << p;
+
+    constexpr int kDenseQubits = 14;
+    StateVector dense(kDenseQubits, pool);
+    for (int q = 0; q < kDenseQubits; ++q) dense.apply(hadamard(), q);
+    for (int q = 0; q < kDenseQubits; ++q) dense.apply(g, q);
+    for (const auto& [c, t] : {std::pair{0, 13}, std::pair{13, 0},
+                               std::pair{5, 6}, std::pair{6, 5}}) {
+      dense.apply_controlled(g, c, t);
+    }
+    EXPECT_EQ(amplitude_checksum(dense), 0x54100e594efa2129ULL)
         << "pool " << p;
   }
 }
