@@ -58,22 +58,6 @@ bool has_min_distance(const std::vector<BitString>& code, std::size_t d) {
   return true;
 }
 
-bool is_one_fooling_set(
-    const std::function<bool(const BitString&, const BitString&)>& f,
-    const std::vector<FoolingPair>& pairs) {
-  for (const FoolingPair& p : pairs) {
-    if (!f(p.x, p.y)) return false;
-  }
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    for (std::size_t j = i + 1; j < pairs.size(); ++j) {
-      if (f(pairs[i].x, pairs[j].y) && f(pairs[j].x, pairs[i].y)) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 std::vector<FoolingPair> gap_eq_fooling_set(
     const std::vector<BitString>& code) {
   std::vector<FoolingPair> pairs;

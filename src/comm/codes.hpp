@@ -4,7 +4,7 @@
 // Gilbert-Varshamov bound.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <vector>
 
 #include "util/bitstring.hpp"
@@ -38,10 +38,23 @@ struct FoolingPair {
   BitString y;
 };
 
-/// Checks the 1-fooling-set conditions for f over the given pairs.
-bool is_one_fooling_set(
-    const std::function<bool(const BitString&, const BitString&)>& f,
-    const std::vector<FoolingPair>& pairs);
+/// Checks the 1-fooling-set conditions for f over the given pairs. `f` is
+/// any callable bool(const BitString&, const BitString&); a template, so
+/// the predicate inlines into the quadratic crossed-pair loop.
+template <typename F>
+bool is_one_fooling_set(const F& f, const std::vector<FoolingPair>& pairs) {
+  for (const FoolingPair& p : pairs) {
+    if (!f(p.x, p.y)) return false;
+  }
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    for (std::size_t j = i + 1; j < pairs.size(); ++j) {
+      if (f(pairs[i].x, pairs[j].y) && f(pairs[j].x, pairs[i].y)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
 
 /// The paper's fooling set for (delta)-Eq: diagonal pairs (c, c) over a
 /// code of minimum distance > delta.

@@ -65,9 +65,7 @@ GroverResult grover_search(int num_qubits,
     // Oracle: phase-flip marked items.
     state.oracle_phase(in_mask);
     // Diffusion: reflect about the uniform superposition.
-    for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
-    state.oracle_phase([](std::size_t i) { return i != 0; });
-    for (int q = 0; q < num_qubits; ++q) state.apply(hadamard(), q);
+    state.reflect_about_uniform();
   }
 
   GroverResult result;

@@ -33,7 +33,11 @@ struct GroverResult {
 /// kernels and the oracle/probability scans; results are bit-identical
 /// for every pool (see state.hpp). `marked` is called 2^num_qubits + 1
 /// times, whatever the iteration count: once per index into a mask the
-/// iterations read, and once on the measured index.
+/// iterations read, and once on the measured index. After one Hadamard
+/// layer (num_qubits passes, once per search), each iteration is 3
+/// full-state passes: the oracle reads the mask and phase-flips, then
+/// StateVector::reflect_about_uniform sums the amplitudes and rewrites
+/// them.
 GroverResult grover_search(int num_qubits,
                            const std::function<bool(std::size_t)>& marked,
                            Rng& rng, int iterations = -1,

@@ -136,6 +136,26 @@ void StateVector::swap(int a, int b) {
   cnot(a, b);
 }
 
+void StateVector::reflect_about_uniform() {
+  const std::size_t dim = amplitudes_.size();
+  std::vector<Amplitude> partial(
+      static_cast<std::size_t>(shard_count_for(dim)), Amplitude{0.0, 0.0});
+  for_shards(dim, [&](int s, std::size_t begin, std::size_t end) {
+    Amplitude sum{0.0, 0.0};
+    for (std::size_t i = begin; i < end; ++i) sum += amplitudes_[i];
+    partial[static_cast<std::size_t>(s)] = sum;
+  });
+  Amplitude total{0.0, 0.0};
+  for (const Amplitude& v : partial) total += v;
+  // dim is a power of two, so 2 / dim is exact and so is the scaling.
+  const Amplitude twice_mean = total * (2.0 / static_cast<double>(dim));
+  for_shards(dim, [&](int, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      amplitudes_[i] = twice_mean - amplitudes_[i];
+    }
+  });
+}
+
 double StateVector::probability_one(int qubit) const {
   QDC_EXPECT(qubit >= 0 && qubit < qubit_count_,
              "StateVector::probability_one: bad qubit");

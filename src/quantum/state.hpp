@@ -113,6 +113,18 @@ class StateVector {
                });
   }
 
+  /// Grover's diffusion 2|s><s| - I, with |s> the uniform superposition:
+  /// every amplitude a_i becomes 2·mean - a_i, mean = (sum_j a_j) / 2^n.
+  /// Two passes: each shard of util::ShardPlan::over(dimension()) sums its
+  /// range left to right into a shard-indexed slot, the slots are merged
+  /// serially in shard order (fidelity's reduction contract, so the result
+  /// is bit-identical for every pool), the total is scaled by the exact
+  /// power-of-two 2 / 2^n, and a second pass rewrites every amplitude.
+  /// Equals the Hadamard sandwich H^⊗n · oracle_phase(i != 0) · H^⊗n
+  /// (that is, H^⊗n (2|0><0| - I) H^⊗n) up to rounding, in 2 passes
+  /// instead of 2n + 1.
+  void reflect_about_uniform();
+
   /// Probability of measuring `qubit` as 1.
   double probability_one(int qubit) const;
 

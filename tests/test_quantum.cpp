@@ -1,6 +1,7 @@
 // Tests for the statevector simulator and the small quantum protocols.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <initializer_list>
@@ -100,6 +101,36 @@ TEST(StateVector, SwapSameQubitIsNoOp) {
   // An out-of-range qubit still violates the contract, even when a == b.
   EXPECT_THROW(s.swap(3, 3), ContractError);
   EXPECT_THROW(s.swap(-1, -1), ContractError);
+}
+
+TEST(StateVector, ReflectAboutUniformMatchesHadamardSandwich) {
+  // reflect_about_uniform() applies 2|s><s| - I in two passes; the circuit
+  // it replaces is H on every qubit, a phase flip on every index but 0,
+  // and H on every qubit again. They agree up to rounding on seeded states
+  // with complex, uneven amplitudes; 13 and 16 qubits split the sum into
+  // several shards. The opposite sign, I - 2|s><s|, keeps every
+  // probability but fails here.
+  Rng rng(43);
+  for (const int n : {1, 2, 6, 13, 16}) {
+    StateVector direct(n);
+    for (int q = 0; q < n; ++q) {
+      direct.apply(ry(3.0 * uniform_real(rng)), q);
+      direct.apply(rz(3.0 * uniform_real(rng)), q);
+    }
+    for (int q = 0; q + 1 < n; ++q) direct.cnot(q, q + 1);
+    for (int q = 0; q < n; ++q) direct.apply(ry(3.0 * uniform_real(rng)), q);
+    StateVector sandwich = direct;
+    direct.reflect_about_uniform();
+    for (int q = 0; q < n; ++q) sandwich.apply(hadamard(), q);
+    sandwich.oracle_phase([](std::size_t i) { return i != 0; });
+    for (int q = 0; q < n; ++q) sandwich.apply(hadamard(), q);
+    double worst = 0.0;
+    for (std::size_t i = 0; i < direct.dimension(); ++i) {
+      worst = std::max(worst,
+                       std::abs(direct.amplitude(i) - sandwich.amplitude(i)));
+    }
+    EXPECT_LE(worst, 1e-14) << "qubits " << n;
+  }
 }
 
 TEST(StateVector, MeasureAllRoundingResidueFallsBackToNonzeroState) {
@@ -261,6 +292,32 @@ TEST(Grover, OptimalIterationCounts) {
   EXPECT_EQ(grover_optimal_iterations(4, 1), 1);    // exact for N=4
   EXPECT_EQ(grover_optimal_iterations(1024, 1), 25);
   EXPECT_LE(grover_optimal_iterations(1024, 4), 12);
+}
+
+TEST(Grover, SuccessProbabilityMatchesClosedForm) {
+  // k iterations with M of N items marked leave sin^2((2k+1) theta) on
+  // the marked items, theta = asin(sqrt(M / N)). This fences what the
+  // success-probability bits mean: a kernel change may move their last
+  // bits (Disjointness.PinnedNumbersAtFixedSeeds pins them), not the value.
+  for (int n = 4; n <= 16; ++n) {
+    const std::size_t items = std::size_t{1} << n;
+    for (const std::size_t m : std::initializer_list<std::size_t>{1, 3, 17}) {
+      if (4 * m > items) continue;
+      // An odd multiplier permutes [0, 2^n), so exactly m indices land
+      // below m, spread over the range.
+      const auto marked = [items, m](std::size_t i) {
+        return ((i * 0x9e3779b97f4a7c15ULL) & (items - 1)) < m;
+      };
+      Rng rng(41);
+      const GroverResult r = grover_search(n, marked, rng);
+      const long double theta = std::asin(std::sqrt(
+          static_cast<long double>(m) / static_cast<long double>(items)));
+      const long double amp = std::sin((2 * r.iterations + 1) * theta);
+      EXPECT_NEAR(r.success_probability, static_cast<double>(amp * amp),
+                  1e-10)
+          << "n " << n << " M " << m;
+    }
+  }
 }
 
 TEST(StateVector, RejectsBadArguments) {
